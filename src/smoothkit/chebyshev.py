@@ -103,10 +103,16 @@ def clenshaw_eval(s: ChebSeries, x):
             b1, b2 = t2 * b1 - b2 + ck, b1
         return t * b1 - b2 + float(c[0])
     arr = _domain(x)
+    t2 = 2.0 * arr
     b1 = np.zeros_like(arr)
     b2 = np.zeros_like(arr)
+    nxt = np.empty_like(arr)
+    # in-place update, same evaluation order as (t2 * b1 - b2) + ck
     for ck in c[:0:-1]:
-        b1, b2 = 2.0 * arr * b1 - b2 + ck, b1
+        np.multiply(t2, b1, out=nxt)
+        np.subtract(nxt, b2, out=nxt)
+        np.add(nxt, ck, out=nxt)
+        b1, b2, nxt = nxt, b1, b2
     out = arr * b1 - b2 + c[0]
     return out
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["golden_max", "refine_grid_max"]
+__all__ = ["golden_max", "refine_grid_max", "resolve_ties", "select_peaks"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -31,14 +31,46 @@ def golden_max(fn, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, fl
     return float(fn(x)), x
 
 
+def select_peaks(samples, top: int = 3) -> np.ndarray:
+    """Indices of the sampled local maxima worth polishing, best first.
+
+    Every local maximum of the samples (endpoints included) defines a
+    bracket. The `top` best, plus any sampled within 5% of the best, are
+    kept, capped at 12 in total: symbols with many exactly tied peaks need
+    only one of them. Equal samples rank by index.
+    """
+    fs = np.asarray(samples, dtype=float)
+    n = fs.size
+    if n < 2:
+        return np.arange(n)
+    peaks = np.nonzero((fs[1:-1] >= fs[:-2]) & (fs[1:-1] >= fs[2:]))[0] + 1
+    if fs[0] >= fs[1]:
+        peaks = np.insert(peaks, 0, 0)
+    if fs[n - 1] >= fs[n - 2]:
+        peaks = np.append(peaks, n - 1)
+    order = peaks[np.lexsort((peaks, -fs[peaks]))]
+    rank = np.arange(order.size)
+    keep = (rank < top) | ((rank < 12) & (fs[order] >= 0.95 * fs[order[0]]))
+    return order[keep]
+
+
+def resolve_ties(values, args) -> tuple[float, float]:
+    """Largest value, at the smallest argument among values tied with it.
+
+    Values within 1e-12 relative of the largest count as tied, so the
+    reported argument does not depend on roundoff in the polished values.
+    """
+    best_val = float(np.max(values))
+    tie_band = 1e-12 * abs(best_val)
+    args = np.asarray(args, dtype=float)
+    return best_val, float(np.min(args[np.asarray(values) >= best_val - tie_band]))
+
+
 def refine_grid_max(fn, grid, xtol: float = 1e-12, top: int = 3) -> tuple[float, float]:
     """Global maximum of fn over the span of a dense grid; returns (value, argmax).
 
-    Every local maximum of the sampled values defines a bracket. The `top`
-    best brackets, plus any bracket sampled within 5% of the best (capped
-    at 12 total; symbols with many exactly tied peaks need only one), are
-    polished by golden section. Refined values that tie within 1e-12
-    relative resolve to the smallest argument, keeping the result
+    The brackets of `select_peaks` around the best grid samples are
+    polished by golden section; `resolve_ties` picks the result, keeping it
     deterministic for a fixed grid.
     """
     xs = np.asarray(grid, dtype=float)
@@ -46,25 +78,8 @@ def refine_grid_max(fn, grid, xtol: float = 1e-12, top: int = 3) -> tuple[float,
     n = xs.size
     if n < 2:
         return float(fs[0]), float(xs[0])
-    interior = np.nonzero((fs[1:-1] >= fs[:-2]) & (fs[1:-1] >= fs[2:]))[0] + 1
-    peaks = list(interior)
-    if fs[0] >= fs[1]:
-        peaks.insert(0, 0)
-    if fs[n - 1] >= fs[n - 2]:
-        peaks.append(n - 1)
-    order = sorted(peaks, key=lambda i: (-fs[i], i))
-    best_sample = fs[order[0]]
-    chosen = [
-        i
-        for rank, i in enumerate(order)
-        if rank < top or (rank < 12 and fs[i] >= 0.95 * best_sample)
+    results = [
+        golden_max(fn, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], xtol)
+        for i in select_peaks(fs, top)
     ]
-    results = []
-    for i in chosen:
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, n - 1)]
-        results.append(golden_max(fn, lo, hi, xtol))
-    best_val = max(v for v, _ in results)
-    tie_band = 1e-12 * max(abs(best_val), 1.0)
-    best_x = min(x for v, x in results if v >= best_val - tie_band)
-    return best_val, best_x
+    return resolve_ties([v for v, _ in results], [x for _, x in results])

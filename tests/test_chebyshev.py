@@ -85,6 +85,15 @@ class TestNodes:
             cheb_nodes(0)
 
 
+def naive_clenshaw(c, x):
+    """Reference recurrence: b_k = 2 x b_{k+1} - b_{k+2} + c_k, allocating each step."""
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for ck in c[:0:-1]:
+        b1, b2 = 2.0 * x * b1 - b2 + ck, b1
+    return x * b1 - b2 + c[0]
+
+
 class TestClenshaw:
     def test_linear(self):
         assert clenshaw_eval(ChebSeries([0.0, 1.0]), 0.25) == pytest.approx(0.25)
@@ -106,6 +115,13 @@ class TestClenshaw:
         direct = sum(c * eval_T(k, x) for k, c in enumerate(coeffs))
         scale = 1.0 + sum(abs(c) for c in coeffs)
         assert abs(clenshaw_eval(s, x) - direct) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("degree, points", [(0, 7), (1, 5), (64, 1152), (512, 8256), (2048, 3000)])
+    def test_vectorized_bit_identical_to_naive_recurrence(self, degree, points):
+        rng = np.random.default_rng(2048 + degree)
+        s = ChebSeries(rng.normal(size=degree + 1))
+        xs = rng.uniform(-1, 1, points)
+        assert np.array_equal(clenshaw_eval(s, xs), naive_clenshaw(s.coeffs, xs))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)

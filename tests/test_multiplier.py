@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from smoothkit.kernels import (
     SymmetricKernel,
     constant_kernel,
     epanechnikov_kernel,
+    full_weights,
     optimal_kernel,
     symmetrize,
     triangle_kernel,
@@ -95,6 +100,61 @@ class TestOperatorNorm:
         # symmetric symbols tie at xi and 2 pi - xi; the smaller one is kept
         bound = operator_norm(optimal_kernel(7), 2)
         assert 0 <= bound.argmax_xi <= math.pi
+
+
+class TestLargeAndGeneral:
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_general_triangle(self, n):
+        u = GeneralKernel(n, full_weights(triangle_kernel(n)))
+        expected = 4.0 / (n + 1) ** 2
+        assert abs(operator_norm(u, 2).value - expected) <= 1e-9 * expected
+
+    def test_general_layout_of_symmetric_kernel_gives_same_bound(self):
+        u = optimal_kernel(2048)
+        assert operator_norm(GeneralKernel(2048, full_weights(u)), 2) == operator_norm(u, 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_random_general_argmax_in_lower_half(self, m):
+        rng = np.random.default_rng(60 + m)
+        for n in (1, 4, 17, 100, 700):
+            bound = operator_norm(random_general(rng, n), m)
+            assert 0.0 <= bound.argmax_xi <= math.pi
+
+    def test_repeat_calls_bit_identical(self):
+        rng = np.random.default_rng(4)
+        for u in (random_general(rng, 300), optimal_kernel(512)):
+            for m in (1, 2, 3):
+                assert operator_norm(u, m) == operator_norm(u, m)
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("family", [optimal_kernel, triangle_kernel])
+    def test_argmax_attains_value(self, family, n):
+        u = family(n)
+        bound = operator_norm(u, 2)
+        assert abs(symbol_magnitude(u, 2, bound.argmax_xi) - bound.value) <= 1e-10 * bound.value
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="address-space limit is Linux-specific"
+    )
+    def test_general_n4096_fits_in_one_gib(self):
+        # a dense grid-by-weights matrix would need 4 GiB at this size
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from smoothkit.kernels import GeneralKernel, full_weights, triangle_kernel\n"
+            "from smoothkit.multiplier import operator_norm\n"
+            "u = GeneralKernel(4096, full_weights(triangle_kernel(4096)))\n"
+            "print(operator_norm(u, 2).value * 4097 ** 2)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert float(proc.stdout) == pytest.approx(4.0, rel=1e-9)
 
 
 class TestPolynomialPath:
