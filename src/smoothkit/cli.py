@@ -1,6 +1,7 @@
 """Command-line interface: kernel files, norms, CSV smoothing, verification, asymptotic tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or CSV
+format error, 4 internal error (reported in one line, without a traceback).
 CSV output carries 17 significant digits; JSON uses shortest round-trip
 floats. All computations use fixed grids and seeds, so identical
 invocations produce byte-identical output.
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 KERNEL_TYPES = ("optimal", "epanechnikov", "constant", "triangle")
 
@@ -108,27 +110,7 @@ def cmd_norm(args) -> int:
 
 def cmd_smooth(args) -> int:
     kern = _load_kernel(args, need_symmetric=False)
-    with open(args.input, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = list(reader.fieldnames or [])
-        if args.column not in fields:
-            raise series.CsvFormatError(
-                f"{args.input}: column {args.column!r} not found (have {fields})"
-            )
-        rows = list(reader)
-    values = []
-    for lineno, row in enumerate(rows, start=2):
-        cell = row.get(args.column)
-        try:
-            values.append(float(cell))  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise series.CsvFormatError(
-                f"{args.input} row {lineno}: cannot parse {args.column}={cell!r} as a number"
-            ) from None
-    if not values:
-        raise series.CsvFormatError(f"{args.input}: no data rows")
-
-    ts = series.TimeSeries(np.asarray(values))
+    fields, rows, ts = series.read_table(args.input, args.column)
     try:
         smoothed = series.convolve(kern, ts, boundary=args.boundary)
     except ValueError as exc:
@@ -136,14 +118,20 @@ def cmd_smooth(args) -> int:
 
     offset = kern.half_width if args.boundary == "valid" else 0
     kept = rows[offset : len(rows) - offset] if offset else rows
-    out_fields = fields + (["smoothed"] if "smoothed" not in fields else [])
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=out_fields)
-    writer.writeheader()
+    # the result fills every column named "smoothed", or a new last one
+    if "smoothed" not in fields:
+        fields.append("smoothed")
+        for row in kept:
+            row.append("")
+    slots = [j for j, name in enumerate(fields) if name == "smoothed"]
     for row, v in zip(kept, smoothed.values):
-        row = dict(row)
-        row["smoothed"] = f"{v:.17g}"
-        writer.writerow(row)
+        cell = f"{v:.17g}"
+        for j in slots:
+            row[j] = cell
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fields)
+    writer.writerows(kept)
     _print(buf.getvalue(), args.output)
 
     summary = {"input_l2": series.l2_norm(ts)}
@@ -254,38 +242,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message, code: int) -> int:
+    sys.stderr.write(f"smoothkit: {message}\n")
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "file", None) is not None and args.type is not None:
-        sys.stderr.write("smoothkit: give either --type/--n or --file, not both\n")
-        return EXIT_USAGE
+        return _fail("give either --type/--n or --file, not both", EXIT_USAGE)
     if getattr(args, "func", None) in (cmd_norm, cmd_smooth) and args.file is None and args.type is None:
-        sys.stderr.write("smoothkit: a kernel source (--type/--n or --file) is required\n")
-        return EXIT_USAGE
+        return _fail("a kernel source (--type/--n or --file) is required", EXIT_USAGE)
     if args.func is cmd_kernel and args.type is None:
-        sys.stderr.write("smoothkit: kernel needs --type and --n\n")
-        return EXIT_USAGE
+        return _fail("kernel needs --type and --n", EXIT_USAGE)
     try:
         return args.func(args)
     except UsageError as exc:
-        sys.stderr.write(f"smoothkit: {exc}\n")
-        return EXIT_USAGE
-    except series.CsvFormatError as exc:
-        sys.stderr.write(f"smoothkit: {exc}\n")
-        return EXIT_IO
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"smoothkit: {exc}\n")
-        return EXIT_IO
-    except OSError as exc:
-        sys.stderr.write(f"smoothkit: {exc}\n")
-        return EXIT_IO
+        return _fail(exc, EXIT_USAGE)
+    except (series.CsvFormatError, OSError) as exc:
+        return _fail(exc, EXIT_IO)
     except ValueError as exc:
         # kernel-file content problems (bad header, asymmetry, normalization)
-        if getattr(args, "file", None) is not None:
-            sys.stderr.write(f"smoothkit: {exc}\n")
-            return EXIT_IO
-        sys.stderr.write(f"smoothkit: {exc}\n")
-        return EXIT_USAGE
+        return _fail(exc, EXIT_IO if getattr(args, "file", None) is not None else EXIT_USAGE)
+    except Exception as exc:
+        return _fail(f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -39,8 +39,6 @@ class ExtremalSolution:
 
     degree: int
     alpha: float
-    stretch_scale: float
-    stretch_shift: float
     S: ChebSeries
     q: ChebSeries
     alternation_points: np.ndarray
@@ -105,15 +103,7 @@ def build_solution(d: int) -> ExtremalSolution:
     S = ChebSeries(-deflate_at_one(q).coeffs)
     # L^{-1}(cos(i pi / N)) for i = 1..N; cos(pi) = -1 makes y_N = -1 exact
     y = (np.cos(np.arange(1, N + 1) * (math.pi / N)) + 1.0) / scale - 1.0
-    return ExtremalSolution(
-        degree=d,
-        alpha=alpha,
-        stretch_scale=scale,
-        stretch_shift=-1.0,
-        S=S,
-        q=q,
-        alternation_points=y,
-    )
+    return ExtremalSolution(degree=d, alpha=alpha, S=S, q=q, alternation_points=y)
 
 
 def verify_equioscillation(sol: ExtremalSolution, tol: float) -> EquioscillationReport:

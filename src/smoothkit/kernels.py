@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import ChebSeries
+from .chebyshev import MAX_DEGREE, ChebSeries
 from .extremal import build_solution
 
 __all__ = [
@@ -31,7 +31,8 @@ __all__ = [
     "read_kernel_csv",
 ]
 
-MAX_HALF_WIDTH = 4096
+# The optimal kernel of half width n comes from the degree-n minimax polynomial.
+MAX_HALF_WIDTH = MAX_DEGREE
 
 
 @dataclass(frozen=True, eq=False)

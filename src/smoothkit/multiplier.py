@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import clenshaw_eval
+from .extremal import alpha_closed_form
 from .gridsearch import refine_grid_max, resolve_ties, select_peaks
 from .kernels import GeneralKernel, SymmetricKernel, full_weights, to_polynomial
 from .series import TimeSeries
@@ -170,8 +171,7 @@ def closed_form_c2(n: int) -> float:
     """Smallest possible order-2 constant over all half-width-n kernels."""
     if n < 0:
         raise ValueError("half width must be nonnegative")
-    half = math.pi / (2 * n + 2)
-    return 4.0 * math.sin(half) / ((n + 1) * (1.0 + math.cos(half)))
+    return 2.0 * alpha_closed_form(n)
 
 
 def rayleigh_quotient(u: SymmetricKernel | GeneralKernel, m: int, f: TimeSeries) -> float:

@@ -25,6 +25,7 @@ __all__ = [
     "derivative",
     "l2_norm",
     "read_csv",
+    "read_table",
     "write_csv",
 ]
 
@@ -105,33 +106,56 @@ def l2_norm(f) -> float:
     return float(np.linalg.norm(v))
 
 
-def read_csv(path: str | os.PathLike, column: str, label_column: str | None = None) -> TimeSeries:
-    """Read one numeric column (and optionally a label column) from a CSV file."""
+def _column_index(path, fields: list[str], column: str) -> int:
+    if fields.count(column) != 1:
+        problem = "appears more than once" if column in fields else "not found"
+        raise CsvFormatError(f"{path}: column {column!r} {problem} (have {fields})")
+    return fields.index(column)
+
+
+def read_table(path: str | os.PathLike, column: str) -> tuple[list[str], list[list[str]], TimeSeries]:
+    """Header, rows (lists of cells) and one numeric column of a data CSV.
+
+    Blank lines are skipped and short rows padded with empty cells. A long
+    row, a value column missing or named twice, or a value cell that is not
+    a finite number raises CsvFormatError naming the file line ("row N").
+    """
+    rows: list[list[str]] = []
     values: list[float] = []
-    labels: list[str] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if column not in fields:
-            raise CsvFormatError(f"{path}: column {column!r} not found (have {fields})")
-        if label_column is not None and label_column not in fields:
-            raise CsvFormatError(f"{path}: column {label_column!r} not found (have {fields})")
-        for lineno, row in enumerate(reader, start=2):
-            cell = row.get(column)
-            try:
-                val = float(cell)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
+        reader = csv.reader(fh)
+        fields = next(reader, [])
+        j = _column_index(path, fields, column)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) > len(fields):
                 raise CsvFormatError(
-                    f"{path} row {lineno}: cannot parse {column}={cell!r} as a number"
-                ) from None
+                    f"{path} row {reader.line_num}: {len(row)} fields but the header has {len(fields)}"
+                )
+            row.extend([""] * (len(fields) - len(row)))
+            try:
+                val = float(row[j])
+            except ValueError:
+                val = math.nan
             if not math.isfinite(val):
-                raise CsvFormatError(f"{path} row {lineno}: non-finite value {cell!r}")
+                raise CsvFormatError(
+                    f"{path} row {reader.line_num}: {column}={row[j]!r} is not a finite number"
+                )
+            rows.append(row)
             values.append(val)
-            if label_column is not None:
-                labels.append(row.get(label_column) or "")
     if not values:
         raise CsvFormatError(f"{path}: no data rows")
-    return TimeSeries(np.asarray(values), tuple(labels) if label_column is not None else None)
+    return fields, rows, TimeSeries(np.asarray(values))
+
+
+def read_csv(path: str | os.PathLike, column: str, label_column: str | None = None) -> TimeSeries:
+    """Read one numeric column (and optionally a label column) from a CSV file."""
+    fields, rows, ts = read_table(path, column)
+    if label_column is None:
+        return ts
+    k = _column_index(path, fields, label_column)
+    return TimeSeries(ts.values, tuple(row[k] for row in rows))
 
 
 def write_csv(path: str | os.PathLike, f: TimeSeries, column: str = "value") -> None:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothkit import cli, extremal
+from smoothkit import cli, extremal, kernels
 from smoothkit.kernels import epanechnikov_kernel, read_kernel_csv
 from smoothkit.multiplier import closed_form_c2, operator_norm
 
@@ -207,6 +207,67 @@ class TestSmoothCommand:
         assert code == 2
         assert "shorter" in err
 
+    def test_csv_rules_byte_exact(self, capsys, tmp_path):
+        # quoted comma, blank line, short row and an existing "smoothed" column
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(
+            b't,level,smoothed,note\r\n0,1.5,old,"a, b"\r\n\r\n1,2.5,old\r\n2,4,old,"c"\r\n3,8,old,d\r\n'
+        )
+        code, out, err = run(
+            capsys, "smooth", "--input", str(path), "--column", "level",
+            "--type", "constant", "--n", "1", "--boundary", "extend",
+        )
+        assert code == 0
+        assert out == (
+            "t,level,smoothed,note\r\n"
+            '0,1.5,1.8333333333333333,"a, b"\r\n'
+            "1,2.5,2.6666666666666665,\r\n"
+            "2,4,4.833333333333333,c\r\n"
+            "3,8,6.6666666666666661,d\r\n"
+        )
+        assert err == (
+            '{"input_l2": 9.40744386111339, "laplacian_input_l2": 2.5495097567963922, '
+            '"laplacian_smoothed_l2": 1.3743685418725535, "rayleigh_quotient": 0.14609372770786797, '
+            '"laplacian_ratio": 0.5390716933750933}\n'
+        )
+
+    def test_unrelated_duplicate_columns_pass_through(self, capsys, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,level\n1,2,3\n4,5,6\n")
+        code, out, _ = run(
+            capsys, "smooth", "--input", str(path), "--column", "level",
+            "--type", "constant", "--n", "0",
+        )
+        assert code == 0
+        assert out == "a,a,level,smoothed\r\n1,2,3,3\r\n4,5,6,6\r\n"
+
+    @pytest.fixture(params=["type", "file"])
+    def kernel_source(self, request, tmp_path):
+        if request.param == "type":
+            return ["--type", "constant", "--n", "1"]
+        path = tmp_path / "k.csv"
+        path.write_text("k,weight\n0,1\n")
+        return ["--file", str(path)]
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("t,level\n0,1\n1,nan\n2,3\n", "row 3"),
+            ("level,t,level\n1,0,10\n2,1,20\n", "'level' appears more than once"),
+            ("t,level\n0,1\n1,2,3\n2,3\n", "row 3"),
+        ],
+        ids=["nan_cell", "duplicated_column", "long_row"],
+    )
+    def test_malformed_csv_is_io_error(self, capsys, tmp_path, kernel_source, text, needle):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "smooth", "--input", str(path), "--column", "level", *kernel_source
+        )
+        assert code == 3
+        assert out == ""
+        assert needle in err
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
@@ -251,6 +312,18 @@ class TestAsymptCommand:
     def test_range_error(self, capsys):
         code, _, err = run(capsys, "asympt", "--n", "1")
         assert code == 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4_without_traceback(self, capsys, monkeypatch):
+        def broken(n):
+            raise ArithmeticError("round-trip check failed")
+
+        monkeypatch.setattr(kernels, "optimal_kernel", broken)
+        code, out, err = run(capsys, "kernel", "--type", "optimal", "--n", "8")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "smoothkit: internal error: ArithmeticError: round-trip check failed\n"
 
 
 class TestDeterminism:

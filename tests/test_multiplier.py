@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smoothkit.extremal import alpha_closed_form
 from smoothkit.kernels import (
     GeneralKernel,
     SymmetricKernel,
@@ -191,6 +192,12 @@ class TestClosedForm:
         expected2 = (4 / 3) * math.sin(math.pi / 6) / (1 + math.cos(math.pi / 6))
         assert closed_form_c2(2) == pytest.approx(expected2, rel=1e-15)
         assert closed_form_c2(2) == pytest.approx(0.35726558990816354, rel=1e-14)
+
+    def test_bit_identical_to_standalone_formula(self):
+        for n in range(4097):
+            half = math.pi / (2 * n + 2)
+            standalone = 4.0 * math.sin(half) / ((n + 1) * (1.0 + math.cos(half)))
+            assert closed_form_c2(n) == standalone == 2.0 * alpha_closed_form(n)
 
     def test_sharp_over_random_kernels(self):
         rng = np.random.default_rng(99)

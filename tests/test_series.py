@@ -13,6 +13,7 @@ from smoothkit.series import (
     derivative,
     l2_norm,
     read_csv,
+    read_table,
     write_csv,
 )
 
@@ -141,6 +142,36 @@ class TestCsv:
         path.write_text("value\nnan\n")
         with pytest.raises(CsvFormatError, match="row 2"):
             read_csv(path, "value")
+
+    @pytest.mark.parametrize(
+        "text, label, needle",
+        [
+            ("value,value\n1,2\n", None, "'value' appears more than once"),
+            ("label,value,label\na,1,b\n", "label", "'label' appears more than once"),
+            ("value\n1\n2,3\n", None, "row 3"),
+        ],
+        ids=["duplicated_value", "duplicated_label", "long_row"],
+    )
+    def test_malformed_table(self, tmp_path, text, label, needle):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=needle):
+            read_csv(path, "value", label_column=label)
+
+    def test_read_table_rows(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text('t,value,note\n0,1.5,"a, b"\n\n1,2.5\n')
+        fields, rows, ts = read_table(path, "value")
+        assert fields == ["t", "value", "note"]
+        assert rows == [["0", "1.5", "a, b"], ["1", "2.5", ""]]
+        assert ts.values.tolist() == [1.5, 2.5]
+        assert ts.labels is None
+
+    def test_error_names_file_line(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("value\n1\n\n\nabc\n")
+        with pytest.raises(CsvFormatError, match="row 5"):
+            read_table(path, "value")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
