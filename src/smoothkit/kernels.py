@@ -162,7 +162,7 @@ def read_kernel_csv(path: str | os.PathLike, symmetric: bool = False):
     within 1e-9, and (when symmetric=True) evenness within 1e-9. A symmetric
     result averages the two arms so the stored half-widths are exactly even.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["k", "weight"]:

@@ -122,7 +122,7 @@ def read_table(path: str | os.PathLike, column: str) -> tuple[list[str], list[li
     """
     rows: list[list[str]] = []
     values: list[float] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         fields = next(reader, [])
         j = _column_index(path, fields, column)

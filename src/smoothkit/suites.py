@@ -290,7 +290,11 @@ _RUNNERS = {
 def run_suite(name: str, n_max: int = 64, tol_scale: float = 1.0) -> list[CheckResult]:
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return _RUNNERS[name](n_max=n_max, tol_scale=tol_scale)
+    try:
+        return _RUNNERS[name](n_max=n_max, tol_scale=tol_scale)
+    except ArithmeticError as exc:
+        # the construction's own S(1) = 1 check tripped: a failed invariant, not a crash
+        return [CheckResult("construction_self_check", False, f"{type(exc).__name__}: {exc}")]
 
 
 def run_suites(names, n_max: int = 64, tol_scale: float = 1.0) -> dict:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,15 @@ class TestKernelCommand:
     def test_missing_type(self, capsys):
         code, _, err = run(capsys, "kernel")
         assert code == 2
+
+    def test_optimal_at_max_half_width(self, capsys):
+        code, out, err = run(capsys, "kernel", "--type", "optimal", "--n", "4096")
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 8194
+        assert lines[0] == "k,weight"
+        assert abs(sum(float(line.split(",")[1]) for line in lines[1:]) - 1.0) <= 1e-9
 
 
 class TestNormCommand:
@@ -98,6 +111,15 @@ class TestNormCommand:
         path.write_text("k,weight\n0,1.0\n")
         code, _, err = run(capsys, "norm", "--type", "constant", "--n", "1", "--file", str(path))
         assert code == 2
+
+    def test_byte_order_mark_file(self, capsys, tmp_path):
+        plain = tmp_path / "k.csv"
+        run(capsys, "kernel", "--type", "triangle", "--n", "5", "--output", str(plain))
+        bom = tmp_path / "k_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(capsys, "norm", "--file", str(plain), "--order", "2")
+        assert expected[0] == 0
+        assert run(capsys, "norm", "--file", str(bom), "--order", "2") == expected
 
 
 class TestSmoothCommand:
@@ -241,6 +263,21 @@ class TestSmoothCommand:
         assert code == 0
         assert out == "a,a,level,smoothed\r\n1,2,3,3\r\n4,5,6,6\r\n"
 
+    @pytest.mark.parametrize("header", ["level,t", "t,level"])
+    def test_byte_order_mark_input(self, capsys, tmp_path, header):
+        # the mark belongs to the file, never to the first column's name or the output header
+        values = [f"{v:.17g}" for v in np.random.default_rng(8).normal(size=200)]
+        rows = [(v, i) if header == "level,t" else (i, v) for i, v in enumerate(values)]
+        text = header + "\n" + "".join(f"{a},{b}\n" for a, b in rows)
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        argv = ("--column", "level", "--type", "optimal", "--n", "6")
+        expected = run(capsys, "smooth", "--input", str(plain), *argv)
+        assert expected[0] == 0
+        assert run(capsys, "smooth", "--input", str(bom), *argv) == expected
+
     @pytest.fixture(params=["type", "file"])
     def kernel_source(self, request, tmp_path):
         if request.param == "type":
@@ -283,6 +320,15 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "extremal", "--n-max", "4")
         assert code == 1
         assert not json.loads(out)["all_passed"]
+
+    def test_construction_self_check_is_a_failed_check(self, capsys, monkeypatch):
+        original = extremal.transform
+        monkeypatch.setattr(extremal, "transform", lambda v: original(np.asarray(v) * 1.001))
+        code, out, _ = run(capsys, "verify", "--suite", "extremal", "--n-max", "4")
+        assert code == 1
+        checks = json.loads(out)["suites"]["extremal"]["checks"]
+        assert [c["name"] for c in checks] == ["construction_self_check"]
+        assert checks[0]["detail"].startswith("ArithmeticError: S(1) = ")
 
     def test_tolerance_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.TOL_SCALE_ENV, "10")
@@ -338,3 +384,16 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, "kernel", "--type", "optimal", "--n", "9")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestDependencies:
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, smoothkit, smoothkit.cli; print('scipy' in sys.modules)"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "False\n"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothkit.chebyshev import ChebSeries, clenshaw_eval
+from smoothkit import extremal
+from smoothkit.chebyshev import ChebSeries, clenshaw_eval, transform
 from smoothkit.extremal import (
     alpha_closed_form,
     build_solution,
@@ -112,6 +113,40 @@ class TestBuildSolution:
         theta = np.linspace(0.0, math.pi, 10 * N)
         grid_max = np.max(np.abs((1 - np.cos(theta)) * clenshaw_eval(sol.S, np.cos(theta))))
         assert grid_max <= sol.alpha * (1 + 1e-9)
+
+    def test_full_range_builds(self):
+        for d in range(4097):
+            sol = build_solution(d)
+            assert abs(float(np.sum(sol.S.coeffs)) - 1.0) <= 1e-14, d
+
+    @pytest.mark.parametrize("d", [16, 64, 256])
+    def test_matches_40_digit_reference(self, d):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            N = d + 1
+            alpha = 2 * mp.sin(mp.pi / (2 * N)) / (N * (1 + mp.cos(mp.pi / (2 * N))))
+            b = (1 + mp.cos(mp.pi / (2 * N))) / 2
+            # S = -alpha T_N(L(x)) / (1 - x) has degree N - 1, so its exact DCT
+            # at N nodes gives the exact coefficients
+            vals = []
+            for j in range(N):
+                x = mp.cos(mp.pi * (2 * j + 1) / (2 * N))
+                vals.append(-alpha * mp.cos(N * mp.acos(b * (x + 1) - 1)) / (1 - x))
+            # cos(k theta_j) = cos(pi m / 2N) with m = k (2j + 1) mod 4N
+            table = [mp.cos(mp.pi * m / (2 * N)) for m in range(4 * N)]
+            ref = []
+            for k in range(N):
+                total = mp.fsum(v * table[k * (2 * j + 1) % (4 * N)] for j, v in enumerate(vals))
+                ref.append(total * (1 if k == 0 else 2) / N)
+            got = build_solution(d).S.coeffs.tolist()
+            worst = max(abs(mp.mpf(g) - r) for g, r in zip(got, ref))
+        assert worst <= 1e-16
+
+    def test_perturbed_samples_trip_the_check(self, monkeypatch):
+        monkeypatch.setattr(extremal, "transform", lambda v: transform(np.asarray(v) * (1 + 1e-12)))
+        with pytest.raises(ArithmeticError, match=r"S\(1\)"):
+            build_solution(64)
 
     def test_range_errors(self):
         with pytest.raises(ValueError):

@@ -89,6 +89,12 @@ class TestOptimalKernel:
         quad = np.array([np.mean(sv * eval_T(k, nodes)) for k in range(n + 1)])
         assert_allclose(optimal_kernel(n).weights, quad, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [2048, 3008, 3392, 3456, 3520, 3648, 4032, 4095, 4096])
+    def test_builds_at_large_half_width(self, n):
+        u = optimal_kernel(n)
+        assert u.half_width == n
+        assert abs(u.weights[0] + 2 * u.weights[1:].sum() - 1.0) <= 1e-10
+
     def test_range_error(self):
         with pytest.raises(ValueError):
             optimal_kernel(4097)
