@@ -9,16 +9,18 @@ import numpy as np
 __all__ = ["golden_max", "refine_grid_max", "resolve_ties", "select_peaks"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_XTOL = 1e-12  # golden-section bracket width at which polishing stops
+_TOP = 3  # brackets always polished, best first
 
 
-def golden_max(fn, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, float]:
+def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization of fn on [lo, hi]; returns (value, argmax)."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = float(fn(c))
     fd = float(fn(d))
-    while (b - a) > xtol:
+    while (b - a) > _XTOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -31,11 +33,11 @@ def golden_max(fn, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, fl
     return float(fn(x)), x
 
 
-def select_peaks(samples, top: int = 3) -> np.ndarray:
+def select_peaks(samples) -> np.ndarray:
     """Indices of the sampled local maxima worth polishing, best first.
 
     Every local maximum of the samples (endpoints included) defines a
-    bracket. The `top` best, plus any sampled within 5% of the best, are
+    bracket. The `_TOP` best, plus any sampled within 5% of the best, are
     kept, capped at 12 in total: symbols with many exactly tied peaks need
     only one of them. Equal samples rank by index.
     """
@@ -50,7 +52,7 @@ def select_peaks(samples, top: int = 3) -> np.ndarray:
         peaks = np.append(peaks, n - 1)
     order = peaks[np.lexsort((peaks, -fs[peaks]))]
     rank = np.arange(order.size)
-    keep = (rank < top) | ((rank < 12) & (fs[order] >= 0.95 * fs[order[0]]))
+    keep = (rank < _TOP) | ((rank < 12) & (fs[order] >= 0.95 * fs[order[0]]))
     return order[keep]
 
 
@@ -66,7 +68,7 @@ def resolve_ties(values, args) -> tuple[float, float]:
     return best_val, float(np.min(args[np.asarray(values) >= best_val - tie_band]))
 
 
-def refine_grid_max(fn, grid, xtol: float = 1e-12, top: int = 3) -> tuple[float, float]:
+def refine_grid_max(fn, grid) -> tuple[float, float]:
     """Global maximum of fn over the span of a dense grid; returns (value, argmax).
 
     The brackets of `select_peaks` around the best grid samples are
@@ -79,7 +81,6 @@ def refine_grid_max(fn, grid, xtol: float = 1e-12, top: int = 3) -> tuple[float,
     if n < 2:
         return float(fs[0]), float(xs[0])
     results = [
-        golden_max(fn, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], xtol)
-        for i in select_peaks(fs, top)
+        golden_max(fn, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]) for i in select_peaks(fs)
     ]
     return resolve_ties([v for v, _ in results], [x for _, x in results])

@@ -155,12 +155,12 @@ def write_kernel_csv(u: SymmetricKernel | GeneralKernel, path_or_file) -> None:
             _emit(fh)
 
 
-def read_kernel_csv(path: str | os.PathLike, symmetric: bool = False):
-    """Read a kernel file; returns a GeneralKernel, or a SymmetricKernel if requested.
+def read_kernel_csv(path: str | os.PathLike) -> GeneralKernel:
+    """Read a kernel file as a GeneralKernel.
 
-    Validates the header, a contiguous index range -n..n, normalization
-    within 1e-9, and (when symmetric=True) evenness within 1e-9. A symmetric
-    result averages the two arms so the stored half-widths are exactly even.
+    Validates the header, a contiguous index range -n..n, and normalization
+    within 1e-9. Evenness is not checked here; `symmetrize` gives the even
+    part.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -189,9 +189,4 @@ def read_kernel_csv(path: str | os.PathLike, symmetric: bool = False):
         raise ValueError(f"{path}: weights must be finite")
     if abs(float(w.sum()) - 1.0) > 1e-9:
         raise ValueError(f"{path}: weights must sum to 1 within 1e-9")
-    if not symmetric:
-        return GeneralKernel(n, w)
-    asym = float(np.max(np.abs(w - w[::-1]))) if n else 0.0
-    if asym > 1e-9:
-        raise ValueError(f"{path}: kernel is asymmetric by {asym:.3g}")
-    return SymmetricKernel(n, 0.5 * (w[n:] + w[n::-1]))
+    return GeneralKernel(n, w)

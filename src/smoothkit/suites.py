@@ -270,10 +270,13 @@ def run_asymptotics_suite(n_max: int = 64, tol_scale: float = 1.0) -> list[Check
     checks.append(CheckResult("interval_split_bound", split_ok, "n in {64, 256}"))
 
     reported = {n: asymptotics.epanechnikov_ratio(n) for n in (16, 64)}
+    ratio_ok = all(
+        abs(v / mu.three_mu_over_pi - 1.0) <= 0.01 * tol_scale for v in reported.values()
+    )
     checks.append(
         CheckResult(
             "epanechnikov_ratio_reported",
-            True,
+            ratio_ok,
             ", ".join(f"n={n}: {v:.6f}" for n, v in reported.items()),
         )
     )

@@ -2,6 +2,9 @@
 
 Each test prints one `criterion NN ... PASS/FAIL` line (visible with -s or
 on failure). Criteria with runtime budgets assert the elapsed time too.
+Criteria that a `verify` suite already checks read that check from the
+shared `suite_runs` fixture, at n_max = 512, rather than repeating its sweep;
+their budgets then apply to the whole suite run.
 """
 
 import json
@@ -9,24 +12,15 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from smoothkit import cli
-from smoothkit.asymptotics import (
-    beat_bound_check,
-    compute_mu,
-    epanechnikov_ratio,
-    scaled_symbol,
-    verify_identity,
-)
-from smoothkit.extremal import build_solution, verify_equioscillation
+from smoothkit.asymptotics import compute_mu, epanechnikov_ratio
 from smoothkit.kernels import (
-    GeneralKernel,
-    SymmetricKernel,
     constant_kernel,
     epanechnikov_kernel,
     optimal_kernel,
     read_kernel_csv,
+    symmetrize,
     triangle_kernel,
 )
 from smoothkit.multiplier import (
@@ -36,6 +30,7 @@ from smoothkit.multiplier import (
     wave_packet,
 )
 from smoothkit.series import TimeSeries, convolve, derivative, l2_norm
+from smoothkit.suites import _random_general
 
 
 def report(num: int, label: str, ok: bool, elapsed: float | None = None) -> None:
@@ -44,18 +39,25 @@ def report(num: int, label: str, ok: bool, elapsed: float | None = None) -> None
     print(f"criterion {num:02d} {label}: {status}{timing}")
 
 
-def test_criterion_01_closed_form_sharp_constant():
-    start = time.perf_counter()
-    worst = 0.0
-    for n in range(65):
-        c2 = closed_form_c2(n)
-        got = operator_norm(optimal_kernel(n), 2).value
-        worst = max(worst, abs(got - c2) / c2)
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed <= 10.0
-    report(1, f"optimal norm equals closed form, n<=64 (worst rel {worst:.2e})", ok, elapsed)
-    assert worst <= 1e-9
-    assert elapsed <= 10.0
+def report_checks(num, label, run, names, budget=None):
+    """Report and assert the named checks of one shared suite run."""
+    checks = [run.checks[name] for name in names]
+    detail = "; ".join(f"{c.name}: {c.detail}" for c in checks)
+    failed = [c.name for c in checks if not c.passed]
+    in_budget = budget is None or run.seconds <= budget
+    report(num, f"{label} ({detail})", not failed and in_budget, run.seconds if budget else None)
+    assert not failed, detail
+    assert in_budget, f"suite run took {run.seconds:.2f}s, budget {budget}s"
+
+
+def test_criterion_01_closed_form_sharp_constant(suite_runs):
+    report_checks(
+        1,
+        "optimal norm equals closed form",
+        suite_runs["multiplier"],
+        ["optimal_matches_closed_form"],
+        budget=10.0,
+    )
 
 
 def test_criterion_02_hand_derived_fixture():
@@ -68,39 +70,27 @@ def test_criterion_02_hand_derived_fixture():
     assert ok
 
 
-def test_criterion_03_first_order_equality_and_bound():
-    worst = 0.0
-    for n in range(65):
-        got = operator_norm(constant_kernel(n), 1).value
-        worst = max(worst, abs(got - 2.0 / (2 * n + 1)))
-    equality_ok = worst <= 1e-10
+def test_criterion_03_first_order_equality_and_bound(suite_runs):
+    equality = suite_runs["multiplier"].checks["constant_first_order"]
 
+    # the suite draws 200 kernels per n; the criterion asks for 1000
     rng = np.random.default_rng(424242)
     bound_ok = True
     for n in (2, 5, 10):
         bound = 2.0 / (2 * n + 1) - 1e-9
         for _ in range(1000):
-            while True:
-                w = rng.normal(size=2 * n + 1)
-                if abs(w.sum()) > 0.1:
-                    break
-            u = GeneralKernel(n, w / w.sum())
-            if operator_norm(u, 1).value < bound:
+            if operator_norm(_random_general(rng, n), 1).value < bound:
                 bound_ok = False
-    ok = equality_ok and bound_ok
-    report(3, f"first-order equality (worst {worst:.2e}) and 3000-kernel bound", ok)
-    assert equality_ok
+    ok = equality.passed and bound_ok
+    report(3, f"first-order equality ({equality.detail}) and 3000-kernel bound", ok)
+    assert equality.passed, equality.detail
     assert bound_ok
 
 
-def test_criterion_04_triangle_equality():
-    worst = 0.0
-    for n in range(65):
-        got = operator_norm(triangle_kernel(n), 2).value
-        worst = max(worst, abs(got - 4.0 / (n + 1) ** 2))
-    ok = worst <= 1e-9
-    report(4, f"triangle second-order equality, n<=64 (worst {worst:.2e})", ok)
-    assert ok
+def test_criterion_04_triangle_equality(suite_runs):
+    report_checks(
+        4, "triangle second-order equality", suite_runs["multiplier"], ["triangle_second_order"]
+    )
 
 
 def test_criterion_05_mu_constant():
@@ -128,38 +118,20 @@ def test_criterion_06_desk_scale_asymptotics():
     assert elapsed <= 60.0
 
 
-def test_criterion_07_equioscillation_suite():
-    start = time.perf_counter()
-    ok = True
-    for d in range(513):
-        if not verify_equioscillation(build_solution(d), 1e-9).passed:
-            ok = False
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed <= 30.0
-    report(7, "equioscillation at 1e-9 for all degrees <= 512", ok, elapsed)
-    assert ok
-    assert elapsed <= 30.0
+def test_criterion_07_equioscillation_suite(suite_runs):
+    report_checks(
+        7,
+        "equioscillation at 1e-9 for all degrees <= 512",
+        suite_runs["extremal"],
+        ["equioscillation"],
+        budget=30.0,
+    )
 
 
-def test_criterion_08_dual_path_agreement():
-    from smoothkit.multiplier import operator_norm_via_polynomial
-
-    rng = np.random.default_rng(911)
-    worst = 0.0
-    for i in range(100):
-        n = 1 + i % 16
-        while True:
-            w = rng.normal(size=n + 1)
-            total = w[0] + 2 * w[1:].sum()
-            if abs(total) > 0.1:
-                break
-        u = SymmetricKernel(n, w / total)
-        a = operator_norm(u, 2).value
-        b = operator_norm_via_polynomial(u).value
-        worst = max(worst, abs(a - b) / a)
-    ok = worst <= 1e-9
-    report(8, f"torus and polynomial norms agree (worst rel {worst:.2e})", ok)
-    assert ok
+def test_criterion_08_dual_path_agreement(suite_runs):
+    report_checks(
+        8, "torus and polynomial norms agree", suite_runs["multiplier"], ["dual_path_agreement"]
+    )
 
 
 def test_criterion_09_witness_sharpness():
@@ -172,31 +144,13 @@ def test_criterion_09_witness_sharpness():
     assert ok
 
 
-def test_criterion_10_difference_identity_suites():
-    rng = np.random.default_rng(60601)
-    ident_ok = True
-    for n in range(1, 513):
-        x = rng.uniform(-1.0, 1.0 - 1e-9, 100)
-        if float(np.max(verify_identity(n, x))) > 1e-8 * n * n:
-            ident_ok = False
-
-    beat_ok = True
-    rng = np.random.default_rng(31337)
-    for n in range(1, 65):
-        beat_ok &= beat_bound_check(n, rng.uniform(-1.0, 1.0 - 1e-9, 1000))
-        beat_ok &= beat_bound_check(n, -1.0)
-
-    grid = np.linspace(0.0, 16.0, 1601)
-    safe = np.where(grid == 0, 1.0, grid)
-    limit = np.where(grid == 0, 1.0, np.sin(safe) / safe) - np.cos(grid)
-    sup = float(np.max(np.abs(scaled_symbol(4096, grid) - limit)))
-    conv_ok = sup <= 0.005
-
-    ok = ident_ok and beat_ok and conv_ok
-    report(10, f"identity/beat/convergence suites (sup at 4096: {sup:.2e})", ok)
-    assert ident_ok
-    assert beat_ok
-    assert conv_ok
+def test_criterion_10_difference_identity_suites(suite_runs):
+    report_checks(
+        10,
+        "identity/beat/convergence suites",
+        suite_runs["asymptotics"],
+        ["difference_identity", "beat_bound", "scaled_symbol_convergence"],
+    )
 
 
 def test_criterion_11_end_to_end_inequality():
@@ -235,7 +189,7 @@ def test_criterion_12_cli_round_trips(tmp_path, capsys):
     code4 = cli.main(["norm", "--file", str(path), "--order", "2"])
     out4 = capsys.readouterr().out
     file_norm = json.loads(out4)["value"]
-    library_norm = operator_norm(read_kernel_csv(path, symmetric=True), 2).value
+    library_norm = operator_norm(symmetrize(read_kernel_csv(path)), 2).value
     round_trip = code3 == code4 == 0 and abs(file_norm - library_norm) <= 1e-12
 
     # full verification suite exits cleanly

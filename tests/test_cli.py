@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothkit import cli, extremal, kernels
+from smoothkit import asymptotics, cli, extremal, kernels
 from smoothkit.kernels import epanechnikov_kernel, read_kernel_csv
 from smoothkit.multiplier import closed_form_c2, operator_norm
 
@@ -329,6 +329,14 @@ class TestVerifyCommand:
         checks = json.loads(out)["suites"]["extremal"]["checks"]
         assert [c["name"] for c in checks] == ["construction_self_check"]
         assert checks[0]["detail"].startswith("ArithmeticError: S(1) = ")
+
+    def test_epanechnikov_ratio_off_its_limit_fails(self, capsys, monkeypatch):
+        original = asymptotics.epanechnikov_ratio
+        monkeypatch.setattr(asymptotics, "epanechnikov_ratio", lambda n: 1.02 * original(n))
+        code, out, _ = run(capsys, "verify", "--suite", "asymptotics")
+        assert code == 1
+        checks = json.loads(out)["suites"]["asymptotics"]["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == ["epanechnikov_ratio_reported"]
 
     def test_tolerance_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.TOL_SCALE_ENV, "10")

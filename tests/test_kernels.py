@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from smoothkit import cli
 from smoothkit.chebyshev import cheb_nodes, clenshaw_eval, eval_T
 from smoothkit.extremal import build_solution
 from smoothkit.kernels import (
@@ -176,7 +177,7 @@ class TestKernelFiles:
         text = path.read_text().splitlines()
         assert text[0] == "k,weight"
         assert len(text) == 8
-        back = read_kernel_csv(path, symmetric=True)
+        back = symmetrize(read_kernel_csv(path))
         assert isinstance(back, SymmetricKernel)
         assert_allclose(back.weights, u.weights, rtol=0, atol=0)
 
@@ -188,11 +189,15 @@ class TestKernelFiles:
         assert isinstance(back, GeneralKernel)
         assert_allclose(back.weights, u.weights, rtol=0, atol=0)
 
-    def test_asymmetric_rejected_when_symmetric_required(self, tmp_path):
+    def test_asymmetric_rejected_when_symmetric_required(self, tmp_path, capsys):
+        # the reader takes any normalized kernel; the polynomial norm is the
+        # one caller that needs evenness, and checks it within 1e-9
         path = tmp_path / "g.csv"
-        write_kernel_csv(GeneralKernel(1, [0.0, 0.3, 0.7]), path)
-        with pytest.raises(ValueError, match="asymmetric"):
-            read_kernel_csv(path, symmetric=True)
+        for tilt, code in ((1e-12, 0), (1e-6, 2)):
+            write_kernel_csv(GeneralKernel(1, [0.25 - tilt, 0.5, 0.25 + tilt]), path)
+            assert isinstance(read_kernel_csv(path), GeneralKernel)
+            assert cli.main(["norm", "--file", str(path), "--method", "polynomial"]) == code
+        assert "needs a symmetric kernel" in capsys.readouterr().err
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
