@@ -87,20 +87,8 @@ def cheb_nodes(M: int) -> np.ndarray:
 
 
 def clenshaw_eval(s: ChebSeries, x):
-    """Evaluate the series at x by Clenshaw's recurrence."""
+    """Evaluate the series at x by Clenshaw's recurrence; a scalar x gives a float."""
     c = s.coeffs
-    if np.ndim(x) == 0:
-        # plain-float loop; numpy scalar arithmetic is ~20x slower here
-        t = float(x)
-        if abs(t) > 1.0 + CLAMP_BAND:
-            raise ValueError("evaluation point outside [-1, 1] beyond the clamp band")
-        t = min(1.0, max(-1.0, t))
-        b1 = 0.0
-        b2 = 0.0
-        t2 = 2.0 * t
-        for ck in c[:0:-1].tolist():
-            b1, b2 = t2 * b1 - b2 + ck, b1
-        return t * b1 - b2 + float(c[0])
     arr = _domain(x)
     t2 = 2.0 * arr
     b1 = np.zeros_like(arr)
@@ -113,7 +101,7 @@ def clenshaw_eval(s: ChebSeries, x):
         np.add(nxt, ck, out=nxt)
         b1, b2, nxt = nxt, b1, b2
     out = arr * b1 - b2 + c[0]
-    return out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def transform(values) -> ChebSeries:

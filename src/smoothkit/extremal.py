@@ -153,7 +153,7 @@ def minimax_lower_bound_check(p: ChebSeries, d: int) -> LowerBoundReport:
 
     The maximum is located on an arccos-parameterized grid (extrema of
     Chebyshev-like products equidistribute in theta, not x) and polished by
-    golden section.
+    `gridsearch.refine_grid_max`.
     """
     if p.degree > d:
         raise ValueError("challenger degree exceeds the stated bound")

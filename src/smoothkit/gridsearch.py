@@ -1,36 +1,47 @@
-"""Deterministic maximization of smooth 1-D functions: dense grid, then golden section."""
+"""Deterministic maximization of smooth 1-D functions: dense grid, then batched Newton."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["golden_max", "refine_grid_max", "resolve_ties", "select_peaks"]
+__all__ = ["polish", "refine_grid_max", "resolve_ties", "select_peaks"]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_XTOL = 1e-12  # golden-section bracket width at which polishing stops
+_MAX_STEPS = 100
 _TOP = 3  # brackets always polished, best first
+# central-difference spacing over bracket width; much smaller spacings turn the
+# ~1e-9 relative rounding of 1 - cos(theta) near theta ~ 1/n into slope noise
+_SPACING = 2.5e-3
 
 
-def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of fn on [lo, hi]; returns (value, argmax)."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = float(fn(c))
-    fd = float(fn(d))
-    while (b - a) > _XTOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = float(fn(d))
-    x = 0.5 * (a + b)
-    return float(fn(x)), x
+def polish(derivs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Batched safeguarded Newton maximization; returns (values, t) per bracket.
+
+    Each bracket [lo, hi] holds the start t = 0 of a local coordinate.
+    `derivs(live, t)` gets the indices of the moving brackets and their points
+    and returns the values, the slopes (only their sign is used) and the Newton
+    steps, nan where the curvature is >= 0. A bracket shrinks to t on the sign
+    of the slope, takes the Newton step if it stays inside, else bisects, and
+    stops once a step is <= 1e-12 (after at most 100 steps).
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    t = np.zeros(lo.size)
+    values = np.empty(lo.size)
+    live = np.arange(lo.size)
+    for step in range(_MAX_STEPS):
+        tl = t[live]
+        values[live], slope, newton_step = derivs(live, tl)
+        lo[live] = np.where(slope > 0, tl, lo[live])
+        hi[live] = np.where(slope < 0, tl, hi[live])
+        newton = tl + newton_step
+        ok = (newton >= lo[live]) & (newton <= hi[live])
+        nxt = np.where(ok, newton, 0.5 * (lo[live] + hi[live]))
+        moving = np.abs(nxt - tl) > 1e-12
+        live = live[moving]
+        if live.size == 0 or step == _MAX_STEPS - 1:
+            break
+        t[live] = nxt[moving]
+    return values, t
 
 
 def select_peaks(samples) -> np.ndarray:
@@ -71,16 +82,27 @@ def resolve_ties(values, args) -> tuple[float, float]:
 def refine_grid_max(fn, grid) -> tuple[float, float]:
     """Global maximum of fn over the span of a dense grid; returns (value, argmax).
 
-    The brackets of `select_peaks` around the best grid samples are
-    polished by golden section; `resolve_ties` picks the result, keeping it
-    deterministic for a fixed grid.
+    fn is value-only and vectorized. The brackets of `select_peaks` (one grid
+    step either side of the best samples) go through `polish` together, with
+    slope and curvature from a three-point central stencil: one fn call per
+    step, at most one spacing outside the grid's span. Newton steps below
+    1e-3 of the spacing, where stencil rounding takes over, count as
+    converged. `resolve_ties` picks the result, deterministic for a fixed grid.
     """
     xs = np.asarray(grid, dtype=float)
-    fs = np.asarray(fn(xs), dtype=float)
-    n = xs.size
-    if n < 2:
-        return float(fs[0]), float(xs[0])
-    results = [
-        golden_max(fn, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]) for i in select_peaks(fs)
-    ]
-    return resolve_ties([v for v, _ in results], [x for _, x in results])
+    nodes = select_peaks(np.asarray(fn(xs), dtype=float))
+    centers = xs[nodes]
+    lo = xs[np.maximum(nodes - 1, 0)] - centers
+    hi = xs[np.minimum(nodes + 1, xs.size - 1)] - centers
+
+    def stencil(live, t):
+        d = _SPACING * (hi[live] - lo[live])
+        x = centers[live] + t
+        f_lo, f_mid, f_hi = np.reshape(fn(np.concatenate([x - d, x, x + d])), (3, -1))
+        curv = f_hi - 2.0 * f_mid + f_lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(curv < 0, 0.5 * d * (f_lo - f_hi) / curv, np.nan)
+        return f_mid, f_hi - f_lo, np.where(np.abs(step) < 1e-3 * d, 0.0, step)
+
+    values, t = polish(stencil, lo, hi)
+    return resolve_ties(values, centers + t)

@@ -6,8 +6,9 @@ of (2 |sin(xi/2)|)^m |u_hat(xi)|. The maximum of this trigonometric
 polynomial is located on a fixed dense grid, sampled by one FFT, and
 polished by batched Newton steps, so results are deterministic. For
 symmetric kernels and m = 2 the same quantity can be computed as
-2 max |(1-x) p_u(x)| over [-1, 1] by Clenshaw evaluation and golden
-section, giving an independent cross-check path.
+2 max |(1-x) p_u(x)| over [-1, 1] by Clenshaw evaluation on its own
+grid, giving an independent cross-check path; both polish with the same
+Newton loop.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .chebyshev import clenshaw_eval
 from .extremal import alpha_closed_form
-from .gridsearch import refine_grid_max, resolve_ties, select_peaks
+from .gridsearch import polish, refine_grid_max, resolve_ties, select_peaks
 from .kernels import GeneralKernel, SymmetricKernel, full_weights, to_polynomial
 from .series import TimeSeries
 
@@ -33,7 +34,6 @@ __all__ = [
     "wave_packet",
 ]
 
-_MAX_POLISH_STEPS = 100
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
 
 
@@ -89,10 +89,9 @@ def operator_norm(u: SymmetricKernel | GeneralKernel, m: int) -> MultiplierBound
 def _polish(w: np.ndarray, m: int, count: int, nodes: np.ndarray):
     """Maximize the symbol near each grid node, all brackets at once.
 
-    Newton's method on g' = 0 with g = (2 - 2 cos xi)^m |u_hat|^2, falling
-    back to bisection on the sign of g' when a step would leave the bracket
-    (one grid step either side, clipped to [0, pi]) or g'' >= 0. Returns the
-    symbol values and the frequencies they were taken at.
+    Analytic derivatives of g = (2 - 2 cos xi)^m |u_hat|^2 drive
+    `gridsearch.polish` in brackets of one grid step either side, clipped to
+    [0, pi]. Returns the symbol values and the frequencies they were taken at.
 
     A frequency is written xi = 2 pi j / count + t with j the node: the phase
     of exp(-i k xi) is reduced as (k j) mod count in integers, and every sum
@@ -106,26 +105,20 @@ def _polish(w: np.ndarray, m: int, count: int, nodes: np.ndarray):
     kw = k * w
     kkw = k * kw
     h = 2.0 * math.pi / count
-    lo = np.where(nodes > 0, -h, 0.0)
-    hi = np.where(nodes < count // 2, h, 0.0)
-    t = np.zeros(nodes.size)
     # 2 pi / count = c_hi + c_lo with c_hi * r exact for r < 2^29, so the
     # rounding of each phase angle is unbiased rather than growing with r
     c_hi = float(np.float32(h))
     c_lo = ((2.0 * math.pi - c_hi * count) + _TWO_PI_LO) / count
     r = np.multiply.outer(nodes, k) % count
     phase = np.exp(-1j * (c_hi * r + c_lo * r))
-    values = np.empty(nodes.size)
-    live = np.arange(nodes.size)
-    for step in range(_MAX_POLISH_STEPS):
-        tl = t[live]
+
+    def derivs(live, tl):
         e = phase[live] * np.exp(-1j * np.multiply.outer(tl, k))
         u0 = (e * w).sum(axis=1)
         u1 = -1j * (e * kw).sum(axis=1)
         u2 = -(e * kkw).sum(axis=1)
         xi = nodes[live] * h + tl
         sin_half = np.sin(0.5 * xi)
-        values[live] = (2.0 * sin_half) ** m * np.abs(u0)
         # s = 2 - 2 cos xi and a = |u_hat|^2 with their derivatives; g1 and g2
         # are g' / s^(m-1) and g'' / s^(m-2), so they stay finite at xi = 0
         s, ds, dds = 4.0 * sin_half**2, 2.0 * np.sin(xi), 2.0 * np.cos(xi)
@@ -134,17 +127,11 @@ def _polish(w: np.ndarray, m: int, count: int, nodes: np.ndarray):
         a2 = 2.0 * (u1.real**2 + u1.imag**2 + (u0.conj() * u2).real)
         g1 = m * ds * a0 + s * a1
         g2 = m * (m - 1) * ds * ds * a0 + m * s * (dds * a0 + 2.0 * ds * a1) + s * s * a2
-        lo[live] = np.where(g1 > 0, tl, lo[live])
-        hi[live] = np.where(g1 < 0, tl, hi[live])
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = tl - s * g1 / g2
-        ok = (g2 < 0) & (newton >= lo[live]) & (newton <= hi[live])
-        nxt = np.where(ok, newton, 0.5 * (lo[live] + hi[live]))
-        moving = np.abs(nxt - tl) > 1e-12
-        live = live[moving]
-        if live.size == 0 or step == _MAX_POLISH_STEPS - 1:
-            break
-        t[live] = nxt[moving]
+            step = np.where(g2 < 0, -(s * g1 / g2), np.nan)
+        return (2.0 * sin_half) ** m * np.abs(u0), g1, step
+
+    values, t = polish(derivs, np.where(nodes > 0, -h, 0.0), np.where(nodes < count // 2, h, 0.0))
     return values, np.clip(nodes * h + t, 0.0, math.pi)
 
 

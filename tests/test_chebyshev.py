@@ -123,6 +123,11 @@ class TestClenshaw:
         xs = rng.uniform(-1, 1, points)
         assert np.array_equal(clenshaw_eval(s, xs), naive_clenshaw(s.coeffs, xs))
 
+    def test_scalar_returns_python_float(self):
+        s = ChebSeries([1.0, 2.0, 3.0])
+        for x in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(clenshaw_eval(s, x)) is float
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         s = ChebSeries(rng.normal(size=20))

@@ -344,6 +344,13 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["tol_scale"] == 10.0
 
+    @pytest.mark.parametrize("n_max", ["-5", "0", "4097"])
+    def test_n_max_out_of_range_is_usage_error(self, capsys, n_max):
+        code, out, err = run(capsys, "verify", "--suite", "all", "--n-max", n_max)
+        assert code == 2
+        assert out == ""
+        assert "n_max must be in [1, 4096]" in err
+
     def test_bad_tolerance_env(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.TOL_SCALE_ENV, "zero")
         code, _, err = run(capsys, "verify", "--suite", "extremal", "--n-max", "4")

@@ -34,6 +34,19 @@ class TestTieRule:
         assert resolve_ties([1e-7 * (1 + 1e-11), 1e-7], [2.0, 1.0]) == (1e-7 * (1 + 1e-11), 2.0)
 
 
+class TestPolish:
+    def test_vectorized_calls_only(self):
+        dims = []
+
+        def fn(x):
+            dims.append(np.ndim(x))
+            return np.cos(np.asarray(x) - 0.3)
+
+        _, x = refine_grid_max(fn, np.linspace(0.0, 3.0, 31))
+        assert 0 not in dims
+        assert abs(x - 0.3) <= 1e-12
+
+
 class TestSelectPeaks:
     def test_best_first_with_endpoints(self):
         fs = np.array([5.0, 1.0, 3.0, 1.0, 4.0, 2.0, 6.0])

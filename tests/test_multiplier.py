@@ -156,6 +156,16 @@ class TestPolynomialPath:
         got = operator_norm_via_polynomial(optimal_kernel(n)).value
         assert got == pytest.approx(closed_form_c2(n), rel=1e-12)
 
+    def test_argmax_matches_torus(self):
+        u = triangle_kernel(5)
+        poly = operator_norm_via_polynomial(u).argmax_xi
+        assert abs(poly - operator_norm(u, 2).argmax_xi) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_endpoint_argmax_is_exact(self, n):
+        # the constant kernel's order-2 symbol peaks at xi = pi, the grid's last node
+        assert operator_norm_via_polynomial(constant_kernel(n)).argmax_xi == math.pi
+
     def test_epanechnikov_dual_path(self):
         u = epanechnikov_kernel(2)
         a = operator_norm(u, 2).value
