@@ -66,7 +66,6 @@ from .series import (
     derivative,
     l2_norm,
     read_csv,
-    read_table,
     write_csv,
 )
 
@@ -108,7 +107,6 @@ __all__ = [
     "rayleigh_quotient",
     "read_csv",
     "read_kernel_csv",
-    "read_table",
     "scaled_symbol",
     "sinc_cos_gap",
     "stretch_map",

@@ -10,7 +10,6 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -110,29 +109,29 @@ def cmd_norm(args) -> int:
 
 def cmd_smooth(args) -> int:
     kern = _load_kernel(args, need_symmetric=False)
-    fields, rows, ts = series.read_table(args.input, args.column)
-    try:
-        smoothed = series.convolve(kern, ts, boundary=args.boundary)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    offset = kern.half_width if args.boundary == "valid" else 0
-    kept = rows[offset : len(rows) - offset] if offset else rows
-    # the result fills every column named "smoothed", or a new last one
-    if "smoothed" not in fields:
-        fields.append("smoothed")
-        for row in kept:
-            row.append("")
-    slots = [j for j, name in enumerate(fields) if name == "smoothed"]
-    for row, v in zip(kept, smoothed.values):
-        cell = f"{v:.17g}"
-        for j in slots:
-            row[j] = cell
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(fields)
-    writer.writerows(kept)
-    _print(buf.getvalue(), args.output)
+    # writing over the input would truncate it before the second pass reads it
+    overwrite = (
+        args.output is not None and os.path.exists(args.output) and os.path.samefile(args.input, args.output)
+    )
+    with series.CsvSource(args.input, spool=overwrite) as source:
+        ts = series.TimeSeries(source.values(args.column))
+        try:
+            smoothed = series.convolve(kern, ts, boundary=args.boundary)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        offset = kern.half_width if args.boundary == "valid" else 0
+        if args.output is not None:
+            with open(args.output, "w", newline="") as fh:
+                source.write_column(fh, "smoothed", smoothed.values, offset)
+        else:
+            try:
+                source.write_column(sys.stdout, "smoothed", smoothed.values, offset)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader has gone; silence the flush at interpreter exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
 
     summary = {"input_l2": series.l2_norm(ts)}
     if len(ts) >= 3:

@@ -9,8 +9,14 @@ without edge artifacts.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 import os
+import shutil
+import stat
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,16 +26,18 @@ from .kernels import GeneralKernel, SymmetricKernel, full_weights
 __all__ = [
     "TimeSeries",
     "CsvFormatError",
+    "CsvSource",
+    "Rows",
     "BOUNDARY_MODES",
     "convolve",
     "derivative",
     "l2_norm",
     "read_csv",
-    "read_table",
     "write_csv",
 ]
 
 BOUNDARY_MODES = ("reflect", "zero", "extend", "valid")
+_BLOCK = 1 << 16  # value cells per bulk conversion, and floats per formatting batch
 
 
 class CsvFormatError(ValueError):
@@ -113,49 +121,184 @@ def _column_index(path, fields: list[str], column: str) -> int:
     return fields.index(column)
 
 
-def read_table(path: str | os.PathLike, column: str) -> tuple[list[str], list[list[str]], TimeSeries]:
-    """Header, rows (lists of cells) and one numeric column of a data CSV.
+def _changed(path) -> CsvFormatError:
+    return CsvFormatError(f"{path}: changed while it was read")
 
-    Blank lines are skipped and short rows padded with empty cells. A long
-    row, a value column missing or named twice, or a value cell that is not
-    a finite number raises CsvFormatError naming the file line ("row N").
+
+class Rows:
+    """One pass over a data CSV: `fields` is the header; iterating yields the data rows.
+
+    This loop holds the row rules of every data CSV: blank lines are
+    skipped, short rows are padded with empty cells, and a row longer than
+    the header raises CsvFormatError naming its file line ("row N").
+    `line_num` is the file line on which the last row read ends.
     """
-    rows: list[list[str]] = []
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        fields = next(reader, [])
-        j = _column_index(path, fields, column)
+
+    def __init__(self, text, path):
+        self.path = path
+        self._reader = csv.reader(text)
+        self.fields: list[str] = next(self._reader, [])
+
+    @property
+    def line_num(self) -> int:
+        return self._reader.line_num
+
+    def __iter__(self):
+        reader, width = self._reader, len(self.fields)
         for row in reader:
-            if not row:
-                continue
-            if len(row) > len(fields):
-                raise CsvFormatError(
-                    f"{path} row {reader.line_num}: {len(row)} fields but the header has {len(fields)}"
-                )
-            row.extend([""] * (len(fields) - len(row)))
+            if len(row) != width:
+                if not row:
+                    continue
+                if len(row) > width:
+                    raise CsvFormatError(
+                        f"{self.path} row {reader.line_num}: {len(row)} fields but the header has {width}"
+                    )
+                row.extend([""] * (width - len(row)))
+            yield row
+
+
+class CsvSource:
+    """A data CSV held open for several passes, each from its first byte.
+
+    An input that is not a regular file (a pipe, /dev/stdin) cannot be read
+    twice, so its bytes are first copied into an unnamed temporary file; so
+    are those of a file about to be overwritten (`spool=True`).
+    """
+
+    def __init__(self, path: str | os.PathLike, spool: bool = False):
+        self.path = path
+        fh = open(path, "rb")
+        if spool or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            with fh:
+                copy = tempfile.TemporaryFile()
+                try:
+                    shutil.copyfileobj(fh, copy)
+                except BaseException:
+                    copy.close()
+                    raise
+            fh = copy
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    @contextmanager
+    def rows(self):
+        """A new pass over the file, as Rows."""
+        self._fh.seek(0)  # the duplicate descriptor below shares this offset
+        with open(os.dup(self._fh.fileno()), newline="", encoding="utf-8-sig") as text:
+            yield Rows(text, self.path)
+
+    def values(self, column: str) -> np.ndarray:
+        """Pass 1: the finite numbers of one column, one per data row.
+
+        A missing or duplicated column, a long row, or a value cell that is
+        not a finite number raises CsvFormatError naming the file line of
+        the first such row. Cells are converted a block of 2^16 at a time;
+        only when a block fails is the file read again, row by row, to find
+        that row.
+        """
+        with self.rows() as rows:
+            j = _column_index(self.path, rows.fields, column)
             try:
-                val = float(row[j])
-            except ValueError:
-                val = math.nan
-            if not math.isfinite(val):
-                raise CsvFormatError(
-                    f"{path} row {reader.line_num}: {column}={row[j]!r} is not a finite number"
-                )
-            rows.append(row)
-            values.append(val)
-    if not values:
-        raise CsvFormatError(f"{path}: no data rows")
-    return fields, rows, TimeSeries(np.asarray(values))
+                values = _bulk_values(rows, j)
+            except (ValueError, csv.Error):
+                values = None
+        if values is None:
+            with self.rows() as rows:
+                _raise_first_bad_value(rows, j, column)
+            raise _changed(self.path)
+        if not values.size:
+            raise CsvFormatError(f"{self.path}: no data rows")
+        return values
+
+    def cells(self, column: str) -> list[str]:
+        """The text cells of one column, one per data row."""
+        with self.rows() as rows:
+            k = _column_index(self.path, rows.fields, column)
+            return [row[k] for row in rows]
+
+    def write_column(self, out, column: str, values: np.ndarray, offset: int = 0) -> None:
+        """Pass 2: write the file to the text stream `out` with `values` in `column`.
+
+        Every column so named is overwritten, or one is appended if there
+        is none. The first and last `offset` data rows are left out, so
+        `values` holds one number per remaining row, written with 17
+        significant digits. Other cells pass through csv.writer unchanged.
+        """
+        writer = csv.writer(out)
+        with self.rows() as rows:
+            slots = [j for j, name in enumerate(rows.fields) if name == column]
+            writer.writerow(rows.fields if slots else rows.fields + [column])
+            it = iter(rows)
+            head = sum(1 for _ in itertools.islice(it, offset))
+            numbers = _floats(values)
+            writer.writerows(_filled(itertools.islice(it, values.size), numbers, slots))
+            if head != offset or next(numbers, None) is not None or sum(1 for _ in it) != offset:
+                raise _changed(self.path)
+
+
+def _bulk_values(rows: Rows, j: int) -> np.ndarray:
+    """Value cells parsed block by block; ValueError if a block has a bad cell."""
+    cell = operator.itemgetter(j)
+    it = iter(rows)
+    blocks = []
+    while cells := list(map(cell, itertools.islice(it, _BLOCK))):
+        block = np.fromiter(map(float, cells), float, len(cells))
+        if not np.isfinite(block).all():
+            raise ValueError("non-finite value")
+        blocks.append(block)
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _raise_first_bad_value(rows: Rows, j: int, column: str) -> None:
+    for row in rows:
+        try:
+            val = float(row[j])
+        except ValueError:
+            val = math.nan
+        if not math.isfinite(val):
+            raise CsvFormatError(
+                f"{rows.path} row {rows.line_num}: {column}={row[j]!r} is not a finite number"
+            )
+
+
+def _floats(values: np.ndarray):
+    """The values as Python floats, converted a block at a time."""
+    return itertools.chain.from_iterable(
+        values[i : i + _BLOCK].tolist() for i in range(0, values.size, _BLOCK)
+    )
+
+
+def _filled(rows, numbers, slots: list[int]):
+    if not slots:
+        for row, v in zip(rows, numbers):
+            row.append(f"{v:.17g}")
+            yield row
+    else:
+        for row, v in zip(rows, numbers):
+            cell = f"{v:.17g}"
+            for j in slots:
+                row[j] = cell
+            yield row
 
 
 def read_csv(path: str | os.PathLike, column: str, label_column: str | None = None) -> TimeSeries:
-    """Read one numeric column (and optionally a label column) from a CSV file."""
-    fields, rows, ts = read_table(path, column)
-    if label_column is None:
-        return ts
-    k = _column_index(path, fields, label_column)
-    return TimeSeries(ts.values, tuple(row[k] for row in rows))
+    """Read one numeric column (and optionally a label column) from a CSV file.
+
+    The row rules and errors are those of `Rows` and `CsvSource.values`.
+    """
+    with CsvSource(path) as source:
+        values = source.values(column)
+        if label_column is None:
+            return TimeSeries(values)
+        labels = source.cells(label_column)
+    if len(labels) != values.size:
+        raise _changed(path)
+    return TimeSeries(values, tuple(labels))
 
 
 def write_csv(path: str | os.PathLike, f: TimeSeries, column: str = "value") -> None:

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smoothkit import asymptotics, cli, extremal, kernels
+from smoothkit import asymptotics, cli, extremal, kernels, series
 from smoothkit.kernels import epanechnikov_kernel, read_kernel_csv
 from smoothkit.multiplier import closed_form_c2, operator_norm
 
@@ -304,6 +305,141 @@ class TestSmoothCommand:
         assert code == 3
         assert out == ""
         assert needle in err
+
+
+def _child_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _walk_csv(path, rows, seed=5):
+    level = np.cumsum(np.random.default_rng(seed).standard_normal(rows))
+    path.write_text("t,level\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(level)))
+    return path
+
+
+class TestSmoothStreaming:
+    """smooth reads its input twice: values first, then the rows it writes."""
+
+    ARGS = ("--column", "level", "--type", "epanechnikov", "--n", "7", "--boundary", "valid")
+
+    @pytest.fixture
+    def walk(self, tmp_path):
+        return _walk_csv(tmp_path / "walk.csv", 3000)
+
+    @pytest.fixture
+    def expected(self, capsys, walk):
+        code, out, err = run(capsys, "smooth", "--input", str(walk), *self.ARGS)
+        assert code == 0
+        return out.encode(), err.encode()
+
+    def test_stdin_pipe_is_spooled(self, walk, expected):
+        proc = subprocess.run(
+            [sys.executable, "-m", "smoothkit.cli", "smooth", "--input", "/dev/stdin", *self.ARGS],
+            input=walk.read_bytes(), capture_output=True, env=_child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == expected
+
+    def test_fifo_is_spooled(self, capsys, tmp_path, walk, expected):
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(walk.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        code, out, err = run(capsys, "smooth", "--input", str(fifo), *self.ARGS)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert code == 0
+        assert (out.encode(), err.encode()) == expected
+
+    def test_output_over_its_own_input(self, capsys, tmp_path, walk, expected):
+        same = tmp_path / "same.csv"
+        same.write_bytes(walk.read_bytes())
+        code, out, err = run(capsys, "smooth", "--input", str(same), *self.ARGS, "--output", str(same))
+        assert code == 0
+        assert out == ""
+        assert (same.read_bytes(), err.encode()) == expected
+
+    def test_reader_closing_stdout_early(self, tmp_path):
+        walk = _walk_csv(tmp_path / "long.csv", 20_000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "smoothkit.cli", "smooth", "--input", str(walk), *self.ARGS],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        )
+        try:
+            assert proc.stdout.readline() == b"t,level,smoothed\r\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["rayleigh_quotient"] > 0
+
+    @pytest.mark.parametrize(
+        "last, needle",
+        [
+            ("70000,nan", "row 70002: level='nan' is not a finite number"),
+            ("70000,1,2", "row 70002: 3 fields but the header has 2"),
+        ],
+        ids=["non_finite", "long_row"],
+    )
+    def test_error_on_last_row_comes_before_output(self, capsys, tmp_path, last, needle):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,level\n" + "".join(f"{i},{i}.5\n" for i in range(70_000)) + last + "\n")
+        out_path = tmp_path / "out.csv"
+        for output in ((), ("--output", str(out_path))):
+            code, out, err = run(capsys, "smooth", "--input", str(path), *self.ARGS, *output)
+            assert code == 3
+            assert out == ""
+            assert err == f"smoothkit: {path} {needle}\n"
+            assert not out_path.exists()
+
+    @pytest.mark.parametrize("change", ["append", "truncate"])
+    def test_input_changed_between_passes(self, capsys, monkeypatch, tmp_path, walk, change):
+        convolve = series.convolve
+
+        def convolve_then_edit(*args, **kwargs):
+            text = walk.read_text()
+            walk.write_text(text + "3000,1\n" if change == "append" else text[: len(text) // 2])
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(series, "convolve", convolve_then_edit)
+        code, _, err = run(capsys, "smooth", "--input", str(walk), *self.ARGS)
+        assert code == 3
+        assert err == f"smoothkit: {walk}: changed while it was read\n"
+
+    def test_memory_bounded_by_the_value_column(self, tmp_path):
+        # 3e5 rows: holding every row as strings grew the peak RSS by 139 MB
+        walk = _walk_csv(tmp_path / "big.csv", 300_000)
+        code = (
+            "import resource, sys\n"
+            "from smoothkit import cli\n"
+            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = rss()\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, (rss() - before) / 1024)\n"
+        )
+        # Linux carries the spawning process's peak RSS over into the child's
+        # ru_maxrss, so a bare interpreter spawns the child instead of pytest
+        launch = "import subprocess, sys; raise SystemExit(subprocess.call([sys.executable, *sys.argv[1:]]))"
+        argv = ["smooth", "--input", str(walk), "--column", "level", "--type", "optimal",
+                "--n", "64", "--output", str(tmp_path / "out.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", launch, "-c", code, *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        rc, growth_mb = proc.stdout.split()
+        assert rc == "0", proc.stderr
+        assert float(growth_mb) <= 60.0
 
 
 class TestVerifyCommand:

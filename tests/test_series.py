@@ -8,12 +8,12 @@ from smoothkit.kernels import GeneralKernel, constant_kernel, epanechnikov_kerne
 from smoothkit.multiplier import operator_norm
 from smoothkit.series import (
     CsvFormatError,
+    CsvSource,
     TimeSeries,
     convolve,
     derivative,
     l2_norm,
     read_csv,
-    read_table,
     write_csv,
 )
 
@@ -158,20 +158,54 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match=needle):
             read_csv(path, "value", label_column=label)
 
-    def test_read_table_rows(self, tmp_path):
+    def test_rows_pad_and_skip(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text('t,value,note\n0,1.5,"a, b"\n\n1,2.5\n')
-        fields, rows, ts = read_table(path, "value")
-        assert fields == ["t", "value", "note"]
-        assert rows == [["0", "1.5", "a, b"], ["1", "2.5", ""]]
+        with CsvSource(path) as source:
+            with source.rows() as rows:
+                assert rows.fields == ["t", "value", "note"]
+                assert list(rows) == [["0", "1.5", "a, b"], ["1", "2.5", ""]]
+            # every pass starts again at the first byte
+            with source.rows() as rows:
+                assert len(list(rows)) == 2
+        ts = read_csv(path, "value")
         assert ts.values.tolist() == [1.5, 2.5]
         assert ts.labels is None
+        assert read_csv(path, "value", label_column="note").labels == ("a, b", "")
 
     def test_error_names_file_line(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("value\n1\n\n\nabc\n")
         with pytest.raises(CsvFormatError, match="row 5"):
-            read_table(path, "value")
+            read_csv(path, "value")
+
+    @pytest.mark.parametrize(
+        "bad, needle",
+        [
+            ("inf", "value='inf' is not a finite number"),
+            ('""', "value='' is not a finite number"),
+            ("1,2", "2 fields but the header has 1"),
+        ],
+        ids=["infinite", "empty", "long_row"],
+    )
+    @pytest.mark.parametrize("where", [3, 70_000])
+    def test_first_error_in_any_block(self, tmp_path, bad, needle, where):
+        # cells are converted 2^16 at a time; the error must still name the
+        # first bad row, in the first block or a later one
+        lines = [f"{i}.25" for i in range(70_001)]
+        lines[where - 2] = bad
+        lines[-1] = "nan"  # a later error must not win
+        path = tmp_path / "series.csv"
+        path.write_text("value\n" + "\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError, match=f"row {where}: {needle}"):
+            read_csv(path, "value")
+
+    def test_bulk_values_match_per_row_float(self, tmp_path):
+        cells = ["1", " 2.5 ", "-0", "1e-320", "3", "+4_0", "1E+2", "\u0665"]
+        path = tmp_path / "series.csv"
+        path.write_text("value\n" + "\n".join(cells) + "\n", encoding="utf-8")
+        got = read_csv(path, "value").values
+        assert got.tolist() == [float(c) for c in cells]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
