@@ -15,10 +15,12 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import asymptotics, kernels, multiplier, series, suites
+from .chebyshev import MAX_DEGREE
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -38,22 +40,11 @@ class UsageError(Exception):
 def _named_kernel(kind: str, n: int | None) -> kernels.SymmetricKernel:
     if n is None:
         raise UsageError("--type needs --n")
-    try:
-        if kind == "optimal":
-            return kernels.optimal_kernel(n)
-        if kind == "epanechnikov":
-            return kernels.epanechnikov_kernel(n)
-        if kind == "constant":
-            return kernels.constant_kernel(n)
-        if kind == "triangle":
-            return kernels.triangle_kernel(n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown kernel type {kind!r}")
+    return getattr(kernels, f"{kind}_kernel")(n)
 
 
 def _load_kernel(args, need_symmetric: bool):
-    """Kernel from --type/--n or --file; file errors map to I/O, not usage."""
+    """Kernel from --type/--n or --file."""
     if args.file is not None:
         general = kernels.read_kernel_csv(args.file)
         if not need_symmetric:
@@ -65,15 +56,31 @@ def _load_kernel(args, need_symmetric: bool):
     return _named_kernel(args.type, args.n)
 
 
-def _print(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
+@contextmanager
+def _output(path: str | None):
+    """The --output file, or stdout; a reader that closes stdout early ends the output quietly."""
+    if path is not None:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; silence the flush at interpreter exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _print(text: str, path: str | None) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def cmd_kernel(args) -> int:
+    if args.type is None:
+        raise UsageError("kernel needs --type and --n")
     kern = _named_kernel(args.type, args.n)
     buf = io.StringIO()
     kernels.write_kernel_csv(kern, buf)
@@ -115,23 +122,10 @@ def cmd_smooth(args) -> int:
     )
     with series.CsvSource(args.input, spool=overwrite) as source:
         ts = series.TimeSeries(source.values(args.column))
-        try:
-            smoothed = series.convolve(kern, ts, boundary=args.boundary)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        smoothed = series.convolve(kern, ts, boundary=args.boundary)
         offset = kern.half_width if args.boundary == "valid" else 0
-        if args.output is not None:
-            with open(args.output, "w", newline="") as fh:
-                source.write_column(fh, "smoothed", smoothed.values, offset)
-        else:
-            try:
-                source.write_column(sys.stdout, "smoothed", smoothed.values, offset)
-                sys.stdout.flush()
-            except BrokenPipeError:
-                # the reader has gone; silence the flush at interpreter exit
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+        with _output(args.output) as fh:
+            source.write_column(fh, "smoothed", smoothed.values, offset)
 
     summary = {"input_l2": series.l2_norm(ts)}
     if len(ts) >= 3:
@@ -157,6 +151,8 @@ def cmd_verify(args) -> int:
             raise UsageError(f"{TOL_SCALE_ENV} must be a number, got {raw!r}") from None
         if tol_scale <= 0:
             raise UsageError(f"{TOL_SCALE_ENV} must be positive")
+        if not math.isfinite(tol_scale):
+            raise UsageError(f"{TOL_SCALE_ENV} must be finite, got {raw!r}")
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
     summary = suites.run_suites(names, n_max=args.n_max, tol_scale=tol_scale)
     _print(json.dumps(summary, indent=2) + "\n", args.output)
@@ -167,8 +163,8 @@ def cmd_asympt(args) -> int:
     mu = asymptotics.compute_mu()
     lines = ["n,optimal_scaled,epanechnikov_ratio,epanechnikov_vs_limit"]
     for n in args.n:
-        if not 2 <= n <= kernels.MAX_HALF_WIDTH:
-            raise UsageError(f"asymptotic rows need 2 <= n <= {kernels.MAX_HALF_WIDTH}")
+        if not 2 <= n <= MAX_DEGREE:
+            raise UsageError(f"asymptotic rows need 2 <= n <= {MAX_DEGREE}")
         scaled = multiplier.closed_form_c2(n) * (n + 1) ** 2 / math.pi
         ratio = asymptotics.epanechnikov_ratio(n)
         lines.append(
@@ -195,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="emit a kernel file (header k,weight)")
     _add_kernel_source(p, file_allowed=False)
     p.add_argument("--output", help="path to write (default stdout)")
-    p.set_defaults(func=cmd_kernel, file=None)
+    p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("norm", help="sharp constant of a kernel as a JSON report")
     _add_kernel_source(p)
@@ -248,21 +244,17 @@ def _fail(message, code: int) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "file", None) is not None and args.type is not None:
-        return _fail("give either --type/--n or --file, not both", EXIT_USAGE)
-    if getattr(args, "func", None) in (cmd_norm, cmd_smooth) and args.file is None and args.type is None:
-        return _fail("a kernel source (--type/--n or --file) is required", EXIT_USAGE)
-    if args.func is cmd_kernel and args.type is None:
-        return _fail("kernel needs --type and --n", EXIT_USAGE)
+    if args.func in (cmd_norm, cmd_smooth):
+        if args.file is not None and args.type is not None:
+            return _fail("give either --type/--n or --file, not both", EXIT_USAGE)
+        if args.file is None and args.type is None:
+            return _fail("a kernel source (--type/--n or --file) is required", EXIT_USAGE)
     try:
         return args.func(args)
-    except UsageError as exc:
-        return _fail(exc, EXIT_USAGE)
-    except (series.CsvFormatError, OSError) as exc:
+    except (series.CsvFormatError, OSError, UnicodeError) as exc:
         return _fail(exc, EXIT_IO)
-    except ValueError as exc:
-        # kernel-file content problems (bad header, asymmetry, normalization)
-        return _fail(exc, EXIT_IO if getattr(args, "file", None) is not None else EXIT_USAGE)
+    except (UsageError, ValueError) as exc:
+        return _fail(exc, EXIT_USAGE)
     except Exception as exc:
         return _fail(f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL)
 

@@ -25,6 +25,7 @@ __all__ = [
     "build_solution",
     "verify_equioscillation",
     "minimax_lower_bound_check",
+    "weighted_max",
 ]
 
 
@@ -148,23 +149,27 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     return EquioscillationReport(passed, residuals, grid_max, sol.alpha)
 
 
-def minimax_lower_bound_check(p: ChebSeries, d: int) -> LowerBoundReport:
-    """Confirm max |(1-x) p(x)| >= alpha(d) for a challenger p with p(1) = 1.
+def weighted_max(p: ChebSeries, points: int) -> tuple[float, float]:
+    """Maximum over theta in [0, pi] of |(1 - cos theta) p(cos theta)|; returns (value, theta).
 
-    The maximum is located on an arccos-parameterized grid (extrema of
+    The maximum is located on `points` equally spaced theta (extrema of
     Chebyshev-like products equidistribute in theta, not x) and polished by
     `gridsearch.refine_grid_max`.
     """
-    if p.degree > d:
-        raise ValueError("challenger degree exceeds the stated bound")
-    if abs(float(np.sum(p.coeffs)) - 1.0) > 1e-9:
-        raise ValueError("challenger must satisfy p(1) = 1")
 
     def weighted(theta):
         x = np.cos(theta)
         return np.abs((1.0 - x) * clenshaw_eval(p, x))
 
-    grid = np.linspace(0.0, math.pi, 10 * (d + 2))
-    m, _ = refine_grid_max(weighted, grid)
+    return refine_grid_max(weighted, np.linspace(0.0, math.pi, points))
+
+
+def minimax_lower_bound_check(p: ChebSeries, d: int) -> LowerBoundReport:
+    """Confirm max |(1-x) p(x)| >= alpha(d) for a challenger p with p(1) = 1."""
+    if p.degree > d:
+        raise ValueError("challenger degree exceeds the stated bound")
+    if abs(float(np.sum(p.coeffs)) - 1.0) > 1e-9:
+        raise ValueError("challenger must satisfy p(1) = 1")
+    m, _ = weighted_max(p, 10 * (d + 2))
     alpha = alpha_closed_form(d)
     return LowerBoundReport(m >= alpha * (1.0 - 1e-9), m, alpha, m - alpha)

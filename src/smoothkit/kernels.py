@@ -8,7 +8,6 @@ a property of the type rather than of the data.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -30,9 +29,6 @@ __all__ = [
     "write_kernel_csv",
     "read_kernel_csv",
 ]
-
-# The optimal kernel of half width n comes from the degree-n minimax polynomial.
-MAX_HALF_WIDTH = MAX_DEGREE
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +101,8 @@ def optimal_kernel(n: int) -> SymmetricKernel:
     polynomial S: w_0 = c_0 and w_k = c_k / 2, which is the discrete
     orthogonality quadrature of S against T_k.
     """
-    if not 0 <= n <= MAX_HALF_WIDTH:
-        raise ValueError(f"half width must be in [0, {MAX_HALF_WIDTH}]")
+    if not 0 <= n <= MAX_DEGREE:
+        raise ValueError(f"half width must be in [0, {MAX_DEGREE}]")
     w = build_solution(n).S.coeffs.copy()
     w[1:] *= 0.5
     return SymmetricKernel(n, w)
@@ -158,35 +154,36 @@ def write_kernel_csv(u: SymmetricKernel | GeneralKernel, path_or_file) -> None:
 def read_kernel_csv(path: str | os.PathLike) -> GeneralKernel:
     """Read a kernel file as a GeneralKernel.
 
-    Validates the header, a contiguous index range -n..n, and normalization
-    within 1e-9. Evenness is not checked here; `symmetrize` gives the even
-    part.
+    Rows are read by `series.Rows`, with the row rules of every data CSV.
+    The header must be `k,weight`, the indices must run contiguously from
+    -n to n with n <= MAX_DEGREE, and the weights must make a GeneralKernel.
+    Every problem with the content raises CsvFormatError naming the file.
+    Evenness is not checked here; `symmetrize` gives the even part.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["k", "weight"]:
-            raise ValueError(f"{path}: expected header 'k,weight'")
-        ks = []
-        ws = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path} row {lineno}: expected two fields")
+    from .series import CsvFormatError, CsvSource  # series imports this module
+
+    limit = 2 * MAX_DEGREE + 1
+    ks = []
+    ws = []
+    with CsvSource(path) as source, source.rows() as rows:
+        if [h.strip() for h in rows.fields] != ["k", "weight"]:
+            raise CsvFormatError(f"{path}: expected header 'k,weight'")
+        for row in rows:
+            if len(ks) == limit:
+                raise CsvFormatError(
+                    f"{path} row {rows.line_num}: more than {limit} rows (half width > {MAX_DEGREE})"
+                )
             try:
                 ks.append(int(row[0]))
                 ws.append(float(row[1]))
             except ValueError:
-                raise ValueError(f"{path} row {lineno}: cannot parse {row!r}") from None
+                raise CsvFormatError(f"{path} row {rows.line_num}: cannot parse {row!r}") from None
     if not ks:
-        raise ValueError(f"{path}: no kernel rows")
+        raise CsvFormatError(f"{path}: no kernel rows")
     n = (len(ks) - 1) // 2
     if ks != list(range(-n, n + 1)):
-        raise ValueError(f"{path}: indices must run contiguously from -n to n")
-    w = np.asarray(ws, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{path}: weights must be finite")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"{path}: weights must sum to 1 within 1e-9")
-    return GeneralKernel(n, w)
+        raise CsvFormatError(f"{path}: indices must run contiguously from -n to n")
+    try:
+        return GeneralKernel(n, ws)
+    except ValueError as exc:
+        raise CsvFormatError(f"{path}: {exc}") from None

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import clenshaw_eval
-from .extremal import alpha_closed_form
-from .gridsearch import polish, refine_grid_max, resolve_ties, select_peaks
+from .extremal import alpha_closed_form, weighted_max
+from .gridsearch import polish, resolve_ties, select_peaks
 from .kernels import GeneralKernel, SymmetricKernel, full_weights, to_polynomial
 from .series import TimeSeries
 
@@ -143,15 +143,8 @@ def operator_norm_via_polynomial(u: SymmetricKernel) -> MultiplierBound:
     """
     if not isinstance(u, SymmetricKernel):
         raise ValueError("polynomial form needs a symmetric kernel")
-    p = to_polynomial(u)
-
-    def weighted(theta):
-        x = np.cos(theta)
-        return 2.0 * np.abs((1.0 - x) * clenshaw_eval(p, x))
-
-    grid = np.linspace(0.0, math.pi, 16 * (u.half_width + 2) + 64)
-    value, theta = refine_grid_max(weighted, grid)
-    return MultiplierBound(value, theta, 2, "polynomial_form")
+    value, theta = weighted_max(to_polynomial(u), 16 * (u.half_width + 2) + 64)
+    return MultiplierBound(2.0 * value, theta, 2, "polynomial_form")
 
 
 def closed_form_c2(n: int) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, extremal, kernels, multiplier, series
-from .chebyshev import ChebSeries, clenshaw_eval
+from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
@@ -293,8 +293,8 @@ _RUNNERS = {
 def run_suite(name: str, n_max: int = 64, tol_scale: float = 1.0) -> list[CheckResult]:
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if not 1 <= n_max <= kernels.MAX_HALF_WIDTH:
-        raise ValueError(f"n_max must be in [1, {kernels.MAX_HALF_WIDTH}], got {n_max}")
+    if not 1 <= n_max <= MAX_DEGREE:
+        raise ValueError(f"n_max must be in [1, {MAX_DEGREE}], got {n_max}")
     try:
         return _RUNNERS[name](n_max=n_max, tol_scale=tol_scale)
     except ArithmeticError as exc:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from smoothkit import asymptotics, cli, extremal, kernels, series
-from smoothkit.kernels import epanechnikov_kernel, read_kernel_csv
+from smoothkit.kernels import constant_kernel, epanechnikov_kernel, read_kernel_csv, write_kernel_csv
 from smoothkit.multiplier import closed_form_c2, operator_norm
 
 
@@ -53,6 +53,68 @@ class TestKernelCommand:
         assert len(lines) == 8194
         assert lines[0] == "k,weight"
         assert abs(sum(float(line.split(",")[1]) for line in lines[1:]) - 1.0) <= 1e-9
+
+    def test_reader_closing_stdout_at_once(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "smoothkit.cli", "kernel", "--type", "optimal", "--n", "4096"],
+                stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+class TestKernelFileErrors:
+    """A kernel file is a CSV: every problem with its content exits 3 and names the file."""
+
+    @pytest.fixture
+    def data_csv(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,level\n0,1\n1,2\n2,3\n")
+        return path
+
+    @pytest.fixture(params=["norm", "smooth"])
+    def command(self, request, data_csv):
+        if request.param == "norm":
+            return ["norm"]
+        return ["smooth", "--input", str(data_csv), "--column", "level"]
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("weight,k\n0,1\n", ": expected header 'k,weight'"),
+            ("", ": expected header 'k,weight'"),
+            ("k,weight\n-1,0.25\n0\n1,0.25\n", " row 3: cannot parse ['0', '']"),
+            ("k,weight\n0,1,2\n", " row 2: 3 fields but the header has 2"),
+            ("k,weight\n0,abc\n", " row 2: cannot parse ['0', 'abc']"),
+            ("k,weight\n-1,0.5\n1,0.5\n", ": indices must run contiguously from -n to n"),
+            ("k,weight\n-1,nan\n0,0.5\n1,0.5\n", ": kernel weights must be finite"),
+            ("k,weight\n-1,0.5\n0,0.5\n1,0.5\n", ": kernel weights must sum to 1"),
+            ('k,weight\n-1,0.25\n"0\n",0.5\n1,x\n', " row 5: cannot parse ['1', 'x']"),
+        ],
+        ids=["header", "empty", "short_row", "long_row", "unparseable", "index_gap",
+             "nan_weight", "unnormalized", "after_multiline_record"],
+    )
+    def test_defect_exits_3(self, capsys, tmp_path, command, text, needle):
+        path = tmp_path / "k.csv"
+        path.write_text(text)
+        with pytest.raises(series.CsvFormatError):
+            read_kernel_csv(path)
+        code, out, err = run(capsys, *command, "--file", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"smoothkit: {path}{needle}\n"
+
+    def test_half_width_cap(self, capsys, tmp_path, command):
+        path = tmp_path / "k.csv"
+        write_kernel_csv(constant_kernel(4096), path)
+        assert read_kernel_csv(path).half_width == 4096
+        write_kernel_csv(constant_kernel(4097), path)
+        code, out, err = run(capsys, *command, "--file", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"smoothkit: {path} row 8195: more than 8193 rows (half width > 4096)\n"
 
 
 class TestNormCommand:
@@ -306,6 +368,15 @@ class TestSmoothCommand:
         assert out == ""
         assert needle in err
 
+    def test_input_not_utf8_is_io_error(self, capsys, tmp_path, kernel_source):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t,level\n0,1\xe9\n")
+        code, out, err = run(
+            capsys, "smooth", "--input", str(path), "--column", "level", *kernel_source
+        )
+        assert (code, out) == (3, "")
+        assert "can't decode byte 0xe9" in err
+
 
 def _child_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -488,9 +559,10 @@ class TestVerifyCommand:
         assert "n_max must be in [1, 4096]" in err
 
     def test_bad_tolerance_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.TOL_SCALE_ENV, "zero")
-        code, _, err = run(capsys, "verify", "--suite", "extremal", "--n-max", "4")
-        assert code == 2
+        for raw in ("zero", "nan", "inf"):
+            monkeypatch.setenv(cli.TOL_SCALE_ENV, raw)
+            code, out, err = run(capsys, "verify", "--suite", "extremal", "--n-max", "4")
+            assert (code, out) == (2, "")
 
 
 class TestAsymptCommand:
