@@ -22,9 +22,6 @@ from .chebyshev import (
     ChebSeries,
     cheb_nodes,
     clenshaw_eval,
-    deflate_at_one,
-    eval_T,
-    eval_U,
     transform,
 )
 from .extremal import (
@@ -34,7 +31,6 @@ from .extremal import (
     alpha_closed_form,
     build_solution,
     minimax_lower_bound_check,
-    stretch_map,
     verify_equioscillation,
 )
 from .kernels import (
@@ -56,7 +52,6 @@ from .multiplier import (
     operator_norm,
     operator_norm_via_polynomial,
     rayleigh_quotient,
-    symbol_magnitude,
     wave_packet,
 )
 from .series import (
@@ -91,13 +86,10 @@ __all__ = [
     "compute_mu",
     "constant_kernel",
     "convolve",
-    "deflate_at_one",
     "derivative",
     "epanechnikov_kernel",
     "epanechnikov_ratio",
     "epanechnikov_series",
-    "eval_T",
-    "eval_U",
     "full_weights",
     "l2_norm",
     "minimax_lower_bound_check",
@@ -109,8 +101,6 @@ __all__ = [
     "read_kernel_csv",
     "scaled_symbol",
     "sinc_cos_gap",
-    "stretch_map",
-    "symbol_magnitude",
     "symmetrize",
     "to_polynomial",
     "transform",

@@ -13,12 +13,9 @@ import numpy as np
 __all__ = [
     "ChebSeries",
     "MAX_DEGREE",
-    "eval_T",
-    "eval_U",
     "cheb_nodes",
     "clenshaw_eval",
     "transform",
-    "deflate_at_one",
 ]
 
 # Arguments may exceed [-1, 1] by this much (roundoff from upstream cos calls)
@@ -52,31 +49,6 @@ def _domain(x) -> np.ndarray:
     if np.any(np.abs(arr) > 1.0 + CLAMP_BAND):
         raise ValueError("evaluation point outside [-1, 1] beyond the clamp band")
     return np.clip(arr, -1.0, 1.0)
-
-
-def eval_T(k: int, x):
-    """First-kind value T_k(x) = cos(k * arccos(x))."""
-    if k < 0:
-        raise ValueError("order k must be nonnegative")
-    out = np.cos(k * np.arccos(_domain(x)))
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def eval_U(k: int, x):
-    """Second-kind value U_k(x) = sin((k+1) theta) / sin(theta) at x = cos(theta).
-
-    Close to x = +-1 the quotient degenerates; there the limit value
-    (+-1)^k * (k+1) is returned instead.
-    """
-    if k < 0:
-        raise ValueError("order k must be nonnegative")
-    arr = _domain(x)
-    theta = np.arccos(arr)
-    s = np.sin(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.sin((k + 1) * theta) / s
-    out = np.where(s < 1e-8, np.sign(arr) ** k * (k + 1.0), vals)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def cheb_nodes(M: int) -> np.ndarray:
@@ -125,6 +97,7 @@ def transform(values) -> ChebSeries:
     return ChebSeries(c)
 
 
+# not exported; stays only until the benchmark re-anchor (ROADMAP item 2) deletes it
 def deflate_at_one(q: ChebSeries) -> ChebSeries:
     """Divide out the root at x = 1: returns s with (x - 1) * s(x) = q(x).
 

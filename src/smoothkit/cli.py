@@ -40,6 +40,8 @@ class UsageError(Exception):
 def _named_kernel(kind: str, n: int | None) -> kernels.SymmetricKernel:
     if n is None:
         raise UsageError("--type needs --n")
+    if n > MAX_DEGREE:
+        raise UsageError(f"half width must be in [0, {MAX_DEGREE}]")
     return getattr(kernels, f"{kind}_kernel")(n)
 
 
@@ -89,8 +91,6 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    if args.order < 1:
-        raise UsageError("--order must be at least 1")
     use_polynomial = args.method == "polynomial"
     if use_polynomial and args.order != 2:
         raise UsageError("the polynomial method applies to --order 2 only")

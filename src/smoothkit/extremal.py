@@ -21,7 +21,6 @@ __all__ = [
     "EquioscillationReport",
     "LowerBoundReport",
     "alpha_closed_form",
-    "stretch_map",
     "build_solution",
     "verify_equioscillation",
     "minimax_lower_bound_check",
@@ -68,15 +67,6 @@ def alpha_closed_form(d: int) -> float:
     N = d + 1
     half = math.pi / (2 * N)
     return 2.0 * math.sin(half) / (N * (1.0 + math.cos(half)))
-
-
-def stretch_map(d: int, x):
-    """Affine map L with L(-1) = -1 and L(1) = cos(pi/(2(d+1))), the first T_{d+1} zero."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    scale = 0.5 * (1.0 + math.cos(math.pi / (2 * (d + 1))))
-    out = scale * (np.asarray(x, dtype=float) + 1.0) - 1.0
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def build_solution(d: int) -> ExtremalSolution:

@@ -130,31 +130,41 @@ class Rows:
 
     This loop holds the row rules of every data CSV: blank lines are
     skipped, short rows are padded with empty cells, and a row longer than
-    the header raises CsvFormatError naming its file line ("row N").
+    the header or a line that csv.reader rejects (a cell over its field
+    limit) raises CsvFormatError naming its file line ("row N").
     `line_num` is the file line on which the last row read ends.
     """
 
     def __init__(self, text, path):
         self.path = path
         self._reader = csv.reader(text)
-        self.fields: list[str] = next(self._reader, [])
+        try:
+            self.fields: list[str] = next(self._reader, [])
+        except csv.Error as exc:
+            raise self._malformed(exc) from None
 
     @property
     def line_num(self) -> int:
         return self._reader.line_num
 
+    def _malformed(self, exc: csv.Error) -> CsvFormatError:
+        return CsvFormatError(f"{self.path} row {self.line_num}: {exc}")
+
     def __iter__(self):
         reader, width = self._reader, len(self.fields)
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                if len(row) > width:
-                    raise CsvFormatError(
-                        f"{self.path} row {reader.line_num}: {len(row)} fields but the header has {width}"
-                    )
-                row.extend([""] * (width - len(row)))
-            yield row
+        try:
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    if len(row) > width:
+                        raise CsvFormatError(
+                            f"{self.path} row {reader.line_num}: {len(row)} fields but the header has {width}"
+                        )
+                    row.extend([""] * (width - len(row)))
+                yield row
+        except csv.Error as exc:
+            raise self._malformed(exc) from None
 
 
 class CsvSource:
@@ -205,7 +215,7 @@ class CsvSource:
             j = _column_index(self.path, rows.fields, column)
             try:
                 values = _bulk_values(rows, j)
-            except (ValueError, csv.Error):
+            except ValueError:
                 values = None
         if values is None:
             with self.rows() as rows:

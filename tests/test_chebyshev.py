@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from oracles import eval_T, eval_U
 from smoothkit.chebyshev import (
     ChebSeries,
     cheb_nodes,
     clenshaw_eval,
     deflate_at_one,
-    eval_T,
-    eval_U,
     transform,
 )
 
@@ -29,9 +28,13 @@ class TestEvalT:
         assert eval_T(5, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_clamp_band(self):
-        assert eval_T(4, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-12)
+        # the library's clamp band, on the series T_4
+        t4 = ChebSeries([0.0, 0.0, 0.0, 0.0, 1.0])
+        assert clenshaw_eval(t4, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
-            eval_T(4, 1.5)
+            clenshaw_eval(t4, 1.5)
+
+    def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             eval_T(-1, 0.0)
 

@@ -94,9 +94,10 @@ class TestKernelFileErrors:
             ("k,weight\n-1,nan\n0,0.5\n1,0.5\n", ": kernel weights must be finite"),
             ("k,weight\n-1,0.5\n0,0.5\n1,0.5\n", ": kernel weights must sum to 1"),
             ('k,weight\n-1,0.25\n"0\n",0.5\n1,x\n', " row 5: cannot parse ['1', 'x']"),
+            ("k,weight\n0," + "1" * 200_000 + "\n", " row 2: field larger than field limit (131072)"),
         ],
         ids=["header", "empty", "short_row", "long_row", "unparseable", "index_gap",
-             "nan_weight", "unnormalized", "after_multiline_record"],
+             "nan_weight", "unnormalized", "after_multiline_record", "cell_over_field_limit"],
     )
     def test_defect_exits_3(self, capsys, tmp_path, command, text, needle):
         path = tmp_path / "k.csv"
@@ -355,8 +356,12 @@ class TestSmoothCommand:
             ("t,level\n0,1\n1,nan\n2,3\n", "row 3"),
             ("level,t,level\n1,0,10\n2,1,20\n", "'level' appears more than once"),
             ("t,level\n0,1\n1,2,3\n2,3\n", "row 3"),
+            (
+                "t,level\n0,1\n1," + "1" * 200_000 + "\n2,3\n",
+                "bad.csv row 3: field larger than field limit (131072)",
+            ),
         ],
-        ids=["nan_cell", "duplicated_column", "long_row"],
+        ids=["nan_cell", "duplicated_column", "long_row", "cell_over_field_limit"],
     )
     def test_malformed_csv_is_io_error(self, capsys, tmp_path, kernel_source, text, needle):
         path = tmp_path / "bad.csv"
@@ -593,6 +598,49 @@ class TestInternalError:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err == "smoothkit: internal error: ArithmeticError: round-trip check failed\n"
+
+
+class TestArgumentRanges:
+    """Half widths past 4096 and orders outside [1, 1023] are usage errors, each one line."""
+
+    @pytest.fixture(params=["kernel", "norm", "smooth"])
+    def command(self, request, tmp_path):
+        if request.param == "smooth":
+            path = tmp_path / "data.csv"
+            path.write_text("t,level\n0,1\n1,2\n2,3\n")
+            return ["smooth", "--input", str(path), "--column", "level"]
+        return [request.param]
+
+    @pytest.mark.parametrize("kind", cli.KERNEL_TYPES)
+    def test_named_kernel_past_max_half_width(self, capsys, command, kind):
+        code, out, err = run(capsys, *command, "--type", kind, "--n", "4097")
+        assert (code, out) == (2, "")
+        assert err == "smoothkit: half width must be in [0, 4096]\n"
+
+    @pytest.mark.parametrize("kind", ["constant", "triangle", "epanechnikov"])
+    def test_named_kernel_at_max_half_width(self, capsys, kind):
+        code, out, err = run(capsys, "kernel", "--type", kind, "--n", "4096")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 8194
+
+    @pytest.mark.parametrize("order", ["0", "1024", "100000000"])
+    def test_order_out_of_range(self, capsys, order):
+        code, out, err = run(capsys, "norm", "--type", "constant", "--n", "1", "--order", order)
+        assert (code, out) == (2, "")
+        assert err == "smoothkit: difference order must be in [1, 1023]\n"
+
+    def test_symbol_overflow(self, capsys, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_text("k,weight\n-1,5\n0,-9\n1,5\n")
+        code, out, err = run(capsys, "norm", "--file", str(path), "--order", "1023")
+        assert (code, out) == (2, "")
+        assert err == "smoothkit: the order-1023 symbol of this kernel overflows double precision\n"
+        code, out, err = run(capsys, "norm", "--file", str(path), "--order", "1019")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"order": 1019, "half_width": 1, "value": 1.0673802988245e+308, '
+            '"argmax_xi": 3.141592653589793, "method": "torus_grid"}\n'
+        )
 
 
 class TestDeterminism:

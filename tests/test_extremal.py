@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import eval_T, stretch_map
 from smoothkit import extremal
 from smoothkit.chebyshev import ChebSeries, clenshaw_eval, transform
 from smoothkit.extremal import (
     alpha_closed_form,
     build_solution,
     minimax_lower_bound_check,
-    stretch_map,
     verify_equioscillation,
 )
 from smoothkit.suites import _random_unit_at_one
@@ -88,8 +88,6 @@ class TestBuildSolution:
         sol = build_solution(2)
         # direct trig evaluation of q = -alpha T_3(L(y)) as an independent path
         y = sol.alternation_points
-        from smoothkit.chebyshev import eval_T
-
         direct = -sol.alpha * eval_T(3, stretch_map(2, y))
         stored = clenshaw_eval(sol.q, y)
         assert_allclose(stored, direct, atol=1e-13)

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from oracles import eval_T
 from smoothkit import cli
-from smoothkit.chebyshev import cheb_nodes, clenshaw_eval, eval_T
+from smoothkit.chebyshev import cheb_nodes, clenshaw_eval
 from smoothkit.extremal import build_solution
 from smoothkit.kernels import (
     GeneralKernel,

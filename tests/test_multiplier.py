@@ -19,6 +19,7 @@ from smoothkit.kernels import (
     triangle_kernel,
 )
 from smoothkit.multiplier import (
+    MAX_ORDER,
     closed_form_c2,
     operator_norm,
     operator_norm_via_polynomial,
@@ -87,6 +88,24 @@ class TestOperatorNorm:
         # symmetric symbols tie at xi and 2 pi - xi; the smaller one is kept
         bound = operator_norm(optimal_kernel(7), 2)
         assert 0 <= bound.argmax_xi <= math.pi
+
+    @pytest.mark.parametrize("m", [0, MAX_ORDER + 1, 10**8])
+    def test_rejects_order_out_of_range(self, m):
+        with pytest.raises(ValueError, match=r"difference order must be in \[1, 1023\]"):
+            operator_norm(constant_kernel(1), m)
+
+    def test_highest_order(self):
+        # |u_hat(pi)| = 1/3, so the norm is 2^1023 / 3, still a double
+        bound = operator_norm(constant_kernel(1), MAX_ORDER)
+        assert bound.value == pytest.approx(2.0**1023 / 3, rel=1e-12)
+        assert bound.argmax_xi == math.pi
+
+    def test_overflow_is_an_error(self):
+        # |u_hat(pi)| = 19: the symbol passes the largest double between m = 1019 and 1023
+        u = GeneralKernel(1, [5.0, -9.0, 5.0])
+        assert operator_norm(u, 1019).value == 1.0673802988245e308
+        with pytest.raises(ValueError, match="order-1023 symbol of this kernel overflows double precision"):
+            operator_norm(u, 1023)
 
 
 class TestLargeAndGeneral:

@@ -149,8 +149,11 @@ class TestCsv:
             ("value,value\n1,2\n", None, "'value' appears more than once"),
             ("label,value,label\na,1,b\n", "label", "'label' appears more than once"),
             ("value\n1\n2,3\n", None, "row 3"),
+            # csv.reader rejects a cell longer than 131072 characters
+            ("value\n1\n" + "1" * 200_000 + "\n", None, "row 3: field larger than field limit"),
+            ("1" * 200_000 + "\n1\n", None, "row 1: field larger than field limit"),
         ],
-        ids=["duplicated_value", "duplicated_label", "long_row"],
+        ids=["duplicated_value", "duplicated_label", "long_row", "long_cell", "long_header_cell"],
     )
     def test_malformed_table(self, tmp_path, text, label, needle):
         path = tmp_path / "series.csv"
