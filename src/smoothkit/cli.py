@@ -10,7 +10,6 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -84,9 +83,8 @@ def cmd_kernel(args) -> int:
     if args.type is None:
         raise UsageError("kernel needs --type and --n")
     kern = _named_kernel(args.type, args.n)
-    buf = io.StringIO()
-    kernels.write_kernel_csv(kern, buf)
-    _print(buf.getvalue(), args.output)
+    with _output(args.output) as fh:
+        kernels.write_kernel_csv(kern, fh)
     return EXIT_OK
 
 

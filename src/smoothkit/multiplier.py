@@ -166,16 +166,21 @@ def rayleigh_quotient(u: SymmetricKernel | GeneralKernel, m: int, f: TimeSeries)
 
     The signal is treated as finitely supported: the convolution keeps its
     full support and the differences are taken over a zero-padded window, so
-    no mass is lost at the ends. Always at most the operator norm.
+    no mass is lost at the ends. Always at most the operator norm. Orders
+    run from 1 to MAX_ORDER; a quotient past the largest double raises
+    ValueError.
     """
-    if m < 1:
-        raise ValueError("difference order must be at least 1")
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"difference order must be in [1, {MAX_ORDER}]")
     fnorm = float(np.linalg.norm(f.values))
     if fnorm == 0.0:
         raise ValueError("signal must not be identically zero")
     smoothed = np.convolve(f.values, full_weights(u), mode="full")
-    diffed = np.diff(np.pad(smoothed, m), m)
-    return float(np.linalg.norm(diffed)) / fnorm
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotient = float(np.linalg.norm(np.diff(np.pad(smoothed, m), m))) / fnorm
+    if not math.isfinite(quotient):
+        raise ValueError(f"the order-{m} difference of this smoothed signal overflows double precision")
+    return quotient
 
 
 def wave_packet(xi_star: float, sigma: float, length: int) -> TimeSeries:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import operator
 import os
 import shutil
 import stat
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("reflect", "zero", "extend", "valid")
-_BLOCK = 1 << 16  # value cells per bulk conversion, and floats per formatting batch
+_BLOCK = 1 << 16  # floats per formatting batch
 
 
 class CsvFormatError(ValueError):
@@ -86,8 +85,6 @@ def convolve(u: SymmetricKernel | GeneralKernel, f: TimeSeries, boundary: str = 
         out = np.convolve(v, w, mode="valid")
         labels = f.labels[n : v.size - n] if f.labels is not None else None
         return TimeSeries(out, labels)
-    if n == 0:
-        return TimeSeries(w[0] * v, f.labels)
     if boundary == "zero":
         padded = np.pad(v, n)
     elif boundary == "extend":
@@ -207,20 +204,11 @@ class CsvSource:
 
         A missing or duplicated column, a long row, or a value cell that is
         not a finite number raises CsvFormatError naming the file line of
-        the first such row. Cells are converted a block of 2^16 at a time;
-        only when a block fails is the file read again, row by row, to find
-        that row.
+        the first such row. The file is read once.
         """
         with self.rows() as rows:
             j = _column_index(self.path, rows.fields, column)
-            try:
-                values = _bulk_values(rows, j)
-            except ValueError:
-                values = None
-        if values is None:
-            with self.rows() as rows:
-                _raise_first_bad_value(rows, j, column)
-            raise _changed(self.path)
+            values = np.fromiter(_finite_cells(rows, j, column), float)
         if not values.size:
             raise CsvFormatError(f"{self.path}: no data rows")
         return values
@@ -245,26 +233,14 @@ class CsvSource:
             writer.writerow(rows.fields if slots else rows.fields + [column])
             it = iter(rows)
             head = sum(1 for _ in itertools.islice(it, offset))
-            numbers = _floats(values)
-            writer.writerows(_filled(itertools.islice(it, values.size), numbers, slots))
-            if head != offset or next(numbers, None) is not None or sum(1 for _ in it) != offset:
+            cells = _cells(values)
+            writer.writerows(_filled(itertools.islice(it, values.size), cells, slots))
+            if head != offset or next(cells, None) is not None or sum(1 for _ in it) != offset:
                 raise _changed(self.path)
 
 
-def _bulk_values(rows: Rows, j: int) -> np.ndarray:
-    """Value cells parsed block by block; ValueError if a block has a bad cell."""
-    cell = operator.itemgetter(j)
-    it = iter(rows)
-    blocks = []
-    while cells := list(map(cell, itertools.islice(it, _BLOCK))):
-        block = np.fromiter(map(float, cells), float, len(cells))
-        if not np.isfinite(block).all():
-            raise ValueError("non-finite value")
-        blocks.append(block)
-    return np.concatenate(blocks) if blocks else np.empty(0)
-
-
-def _raise_first_bad_value(rows: Rows, j: int, column: str) -> None:
+def _finite_cells(rows: Rows, j: int, column: str):
+    """The value cells as floats; CsvFormatError at the first one that is not a finite number."""
     for row in rows:
         try:
             val = float(row[j])
@@ -274,23 +250,23 @@ def _raise_first_bad_value(rows: Rows, j: int, column: str) -> None:
             raise CsvFormatError(
                 f"{rows.path} row {rows.line_num}: {column}={row[j]!r} is not a finite number"
             )
+        yield val
 
 
-def _floats(values: np.ndarray):
-    """The values as Python floats, converted a block at a time."""
+def _cells(values: np.ndarray):
+    """The values as cells of 17 significant digits, formatted a block at a time."""
     return itertools.chain.from_iterable(
-        values[i : i + _BLOCK].tolist() for i in range(0, values.size, _BLOCK)
+        [f"{v:.17g}" for v in values[i : i + _BLOCK].tolist()] for i in range(0, values.size, _BLOCK)
     )
 
 
-def _filled(rows, numbers, slots: list[int]):
+def _filled(rows, cells, slots: list[int]):
     if not slots:
-        for row, v in zip(rows, numbers):
-            row.append(f"{v:.17g}")
+        for row, cell in zip(rows, cells):
+            row.append(cell)
             yield row
     else:
-        for row, v in zip(rows, numbers):
-            cell = f"{v:.17g}"
+        for row, cell in zip(rows, cells):
             for j in slots:
                 row[j] = cell
             yield row
@@ -315,11 +291,10 @@ def write_csv(path: str | os.PathLike, f: TimeSeries, column: str = "value") -> 
     """Write the series with 17 significant digits, so a read round-trips exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
+        cells = _cells(f.values)
         if f.labels is not None:
             writer.writerow(["label", column])
-            for lab, v in zip(f.labels, f.values):
-                writer.writerow([lab, f"{v:.17g}"])
+            writer.writerows(zip(f.labels, cells))
         else:
             writer.writerow([column])
-            for v in f.values:
-                writer.writerow([f"{v:.17g}"])
+            writer.writerows(zip(cells))

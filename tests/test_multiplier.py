@@ -249,6 +249,31 @@ class TestRayleigh:
         with pytest.raises(ValueError):
             rayleigh_quotient(constant_kernel(1), 1, TimeSeries([0.0, 0.0]))
 
+    @pytest.mark.parametrize("m", [0, MAX_ORDER + 1])
+    def test_rejects_order_out_of_range(self, m):
+        with pytest.raises(ValueError, match=r"difference order must be in \[1, 1023\]"):
+            rayleigh_quotient(constant_kernel(1), m, TimeSeries([1.0, 2.0]))
+
+    def test_overflow_is_an_error(self):
+        # the operator norm is 9.99e306 here, but the squared differences pass
+        # the largest double; a leaked numpy warning would fail the test
+        assert operator_norm(triangle_kernel(2), MAX_ORDER).value < math.inf
+        with pytest.raises(ValueError, match="order-1023 difference of this smoothed signal overflows double precision"):
+            rayleigh_quotient(triangle_kernel(2), MAX_ORDER, TimeSeries(np.ones(8)))
+
+    @pytest.mark.parametrize(
+        "u, expected",
+        [
+            (optimal_kernel(5), [0.06500797472492134, 0.03581033905326597, 0.026052257908724032]),
+            (triangle_kernel(3), [0.32668784661004385, 0.22200046497125184, 0.15619920337186366]),
+            (GeneralKernel(1, [0.2, 0.5, 0.3]), [0.5723793699495217, 0.41315348488346765, 0.3284598852414223]),
+        ],
+        ids=["optimal", "triangle", "general"],
+    )
+    def test_small_orders_exact(self, u, expected):
+        f = TimeSeries(np.cos(0.7 * np.arange(40.0)) + 0.01 * np.arange(40.0))
+        assert [rayleigh_quotient(u, m, f) for m in (1, 2, 3)] == expected
+
 
 class TestWavePacket:
     def test_identity_kernel_near_four(self):

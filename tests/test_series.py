@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from smoothkit.kernels import GeneralKernel, constant_kernel, epanechnikov_kernel, triangle_kernel
 from smoothkit.multiplier import operator_norm
 from smoothkit.series import (
+    BOUNDARY_MODES,
     CsvFormatError,
     CsvSource,
     TimeSeries,
@@ -38,6 +41,13 @@ class TestConvolve:
         f = TimeSeries([0.0, 3.0, 0.0])
         for mode in ("reflect", "zero", "extend", "valid"):
             assert_allclose(convolve(constant_kernel(0), f, mode).values, f.values)
+        # a half-width-0 kernel scales every value by its one weight, exactly
+        u = GeneralKernel(0, [1 + 5e-10])
+        g = TimeSeries([0.1, -2.7, 1e300], labels=["a", "b", "c"])
+        for mode in BOUNDARY_MODES:
+            out = convolve(u, g, mode)
+            assert out.values.tolist() == (u.weights[0] * g.values).tolist()
+            assert out.labels == g.labels
 
     def test_three_point_average_zero_boundary(self):
         f = TimeSeries([0.0, 3.0, 0.0])
@@ -101,6 +111,45 @@ class TestNorm:
 
     def test_plain_array(self):
         assert l2_norm([3.0, 4.0]) == 5.0
+
+
+# cells for generated CSV text: numbers as float() reads them, and cells that are not finite numbers
+_NUMBERS = ["1", " 2.5 ", "-0", "1e-320", "+4_0", "1_0", '"3"']
+_OTHERS = ["nan", "-inf", "", "abc", "0x10", '"a,b"', '"x\ny"']
+
+
+@st.composite
+def _csv_text(draw):
+    header = draw(st.sampled_from(["value", "t,value", "value,t,note", "\ufefft,value,note"]))
+    width = header.count(",") + 1
+    full = st.lists(st.sampled_from(_NUMBERS), min_size=width, max_size=width)
+    other = st.lists(st.sampled_from(_NUMBERS + _OTHERS), max_size=width + 1)
+    lead = [",".join(["0.5"] * width)] * draw(st.integers(0, 70))  # so the first bad row can lie deep
+    lines = draw(st.lists(st.one_of(full, full, other).map(",".join), max_size=30))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header, *lead, *lines]) + newline
+
+
+def _values_by_rows(source, column):
+    """Reference for CsvSource.values: all rows read first, then each cell given to float()."""
+    with source.rows() as rows:
+        j = rows.fields.index(column)
+        numbered, error = [], None
+        try:
+            for row in rows:
+                numbered.append((rows.line_num, row[j]))
+        except CsvFormatError as exc:
+            error = str(exc)
+    values = []
+    for line, cell in numbered:
+        try:
+            v = float(cell)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            return f"{source.path} row {line}: {column}={cell!r} is not a finite number"
+        values.append(v)
+    return error or values or f"{source.path}: no data rows"
 
 
 class TestCsv:
@@ -193,8 +242,8 @@ class TestCsv:
     )
     @pytest.mark.parametrize("where", [3, 70_000])
     def test_first_error_in_any_block(self, tmp_path, bad, needle, where):
-        # cells are converted 2^16 at a time; the error must still name the
-        # first bad row, in the first block or a later one
+        # the error must name the first bad row, near the start of the file
+        # or past row 2^16
         lines = [f"{i}.25" for i in range(70_001)]
         lines[where - 2] = bad
         lines[-1] = "nan"  # a later error must not win
@@ -209,6 +258,49 @@ class TestCsv:
         path.write_text("value\n" + "\n".join(cells) + "\n", encoding="utf-8")
         got = read_csv(path, "value").values
         assert got.tolist() == [float(c) for c in cells]
+
+    @pytest.mark.parametrize("bad", [False, True], ids=["good", "bad"])
+    def test_values_reads_the_file_once(self, tmp_path, monkeypatch, bad):
+        path = tmp_path / "series.csv"
+        path.write_text("value\n1\n" + ("abc" if bad else "2") + "\n3\n")
+        passes = []
+        rows = CsvSource.rows
+
+        def counted(source):
+            passes.append(source)
+            return rows(source)
+
+        monkeypatch.setattr(CsvSource, "rows", counted)
+        with CsvSource(path) as source:
+            if bad:
+                with pytest.raises(CsvFormatError, match="row 3: value='abc' is not a finite number"):
+                    source.values("value")
+            else:
+                assert source.values("value").tolist() == [1.0, 2.0, 3.0]
+        assert len(passes) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_csv_text())
+    def test_values_match_rows_and_float(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("generated") / "series.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with CsvSource(path) as source:
+            expected = _values_by_rows(source, "value")
+            try:
+                got = source.values("value").tolist()
+            except CsvFormatError as exc:
+                got = str(exc)
+        assert got == expected
+
+    def test_write_csv_bytes(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_csv(path, TimeSeries([0.1, -1.0 / 3.0, 2.0**-40, 1e300, 5e-324]), column="x")
+        assert path.read_bytes() == (
+            b"x\r\n0.10000000000000001\r\n-0.33333333333333331\r\n9.0949470177292824e-13\r\n"
+            b"1.0000000000000001e+300\r\n4.9406564584124654e-324\r\n"
+        )
+        write_csv(path, TimeSeries([1.5, -0.0, 100.0], labels=["a,b", 'q"', "line\nbreak"]))
+        assert path.read_bytes() == b'label,value\r\n"a,b",1.5\r\n"q""",-0\r\n"line\nbreak",100\r\n'
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
