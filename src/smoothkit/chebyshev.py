@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "ChebSeries",
-    "MAX_DEGREE",
     "cheb_nodes",
     "clenshaw_eval",
     "transform",

@@ -121,21 +121,23 @@ def cmd_smooth(args) -> int:
     with series.CsvSource(args.input, spool=overwrite) as source:
         ts = series.TimeSeries(source.values(args.column))
         smoothed = series.convolve(kern, ts, boundary=args.boundary)
+        # the summary is finished before any output, so its errors leave stdout empty
+        summary = {"input_l2": series.l2_norm(ts)}
+        if len(ts) >= 3:
+            lap_in = series.l2_norm(series.derivative(ts, 2))
+            summary["laplacian_input_l2"] = lap_in
+        if len(smoothed) >= 3:
+            lap_out = series.l2_norm(series.derivative(smoothed, 2))
+            summary["laplacian_smoothed_l2"] = lap_out
+            if summary["input_l2"]:
+                summary["rayleigh_quotient"] = lap_out / summary["input_l2"]
+            if summary.get("laplacian_input_l2"):
+                summary["laplacian_ratio"] = lap_out / summary["laplacian_input_l2"]
+        report = json.dumps(summary, allow_nan=False)
         offset = kern.half_width if args.boundary == "valid" else 0
         with _output(args.output) as fh:
             source.write_column(fh, "smoothed", smoothed.values, offset)
-
-    summary = {"input_l2": series.l2_norm(ts)}
-    if len(ts) >= 3:
-        lap_in = series.l2_norm(series.derivative(ts, 2))
-        summary["laplacian_input_l2"] = lap_in
-    if len(smoothed) >= 3:
-        lap_out = series.l2_norm(series.derivative(smoothed, 2))
-        summary["laplacian_smoothed_l2"] = lap_out
-        summary["rayleigh_quotient"] = lap_out / summary["input_l2"]
-        if summary.get("laplacian_input_l2"):
-            summary["laplacian_ratio"] = lap_out / summary["laplacian_input_l2"]
-    sys.stderr.write(json.dumps(summary) + "\n")
+    sys.stderr.write(report + "\n")
     return EXIT_OK
 
 

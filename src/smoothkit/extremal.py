@@ -24,7 +24,6 @@ __all__ = [
     "build_solution",
     "verify_equioscillation",
     "minimax_lower_bound_check",
-    "weighted_max",
 ]
 
 

@@ -22,7 +22,7 @@ from .chebyshev import clenshaw_eval
 from .extremal import alpha_closed_form, weighted_max
 from .gridsearch import polish, resolve_ties, select_peaks
 from .kernels import GeneralKernel, SymmetricKernel, full_weights, to_polynomial
-from .series import TimeSeries
+from .series import TimeSeries, l2_norm
 
 __all__ = [
     "MultiplierBound",
@@ -172,12 +172,12 @@ def rayleigh_quotient(u: SymmetricKernel | GeneralKernel, m: int, f: TimeSeries)
     """
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"difference order must be in [1, {MAX_ORDER}]")
-    fnorm = float(np.linalg.norm(f.values))
+    fnorm = l2_norm(f)
     if fnorm == 0.0:
         raise ValueError("signal must not be identically zero")
     smoothed = np.convolve(f.values, full_weights(u), mode="full")
     with np.errstate(over="ignore", invalid="ignore"):
-        quotient = float(np.linalg.norm(np.diff(np.pad(smoothed, m), m))) / fnorm
+        quotient = l2_norm(np.diff(np.pad(smoothed, m), m)) / fnorm
     if not math.isfinite(quotient):
         raise ValueError(f"the order-{m} difference of this smoothed signal overflows double precision")
     return quotient

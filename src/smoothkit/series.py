@@ -25,9 +25,6 @@ from .kernels import GeneralKernel, SymmetricKernel, full_weights
 __all__ = [
     "TimeSeries",
     "CsvFormatError",
-    "CsvSource",
-    "Rows",
-    "BOUNDARY_MODES",
     "convolve",
     "derivative",
     "l2_norm",
@@ -37,6 +34,7 @@ __all__ = [
 
 BOUNDARY_MODES = ("reflect", "zero", "extend", "valid")
 _BLOCK = 1 << 16  # floats per formatting batch
+_NORM_LO, _NORM_HI = 2.0**-400, 2.0**400  # in this range no square overflowed, and none lost to underflow shows
 
 
 class CsvFormatError(ValueError):
@@ -100,15 +98,28 @@ def derivative(f: TimeSeries, m: int) -> TimeSeries:
         raise ValueError("difference order must be at least 1")
     if len(f) < m + 1:
         raise ValueError("series too short for this difference order")
-    out = np.diff(f.values, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.diff(f.values, m)
+    if not np.isfinite(out).all():
+        raise ValueError(f"the order-{m} difference of this series overflows double precision")
     labels = f.labels[: out.size] if f.labels is not None else None
     return TimeSeries(out, labels)
 
 
 def l2_norm(f) -> float:
-    """Euclidean norm of a TimeSeries or plain array."""
+    """Euclidean norm of a TimeSeries or plain array.
+
+    A norm outside [2^-400, 2^400] may have lost squares to overflow or
+    underflow, so it is recomputed from the values scaled by a power of
+    two, which is exact. A norm past the largest double is inf.
+    """
     v = f.values if isinstance(f, TimeSeries) else np.asarray(f, dtype=float)
-    return float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+        if _NORM_LO <= norm <= _NORM_HI or not v.size:
+            return norm
+        _, e = np.frexp(np.max(np.abs(v)))
+        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
 
 def _column_index(path, fields: list[str], column: str) -> int:

@@ -17,8 +17,6 @@ from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
-SUITE_NAMES = ("extremal", "multiplier", "asymptotics")
-
 
 @dataclass
 class CheckResult:
@@ -288,6 +286,7 @@ _RUNNERS = {
     "multiplier": run_multiplier_suite,
     "asymptotics": run_asymptotics_suite,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, n_max: int = 64, tol_scale: float = 1.0) -> list[CheckResult]:

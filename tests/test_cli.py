@@ -293,6 +293,44 @@ class TestSmoothCommand:
         assert code == 2
         assert "shorter" in err
 
+    def test_overflowing_difference_comes_before_output(self, capsys, tmp_path):
+        path = tmp_path / "alternating.csv"
+        path.write_text("level\n" + "".join(f"{1.7e308 * (-1) ** k!r}\n" for k in range(8)))
+        code, out, err = run(
+            capsys, "smooth", "--input", str(path), "--column", "level",
+            "--type", "constant", "--n", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "smoothkit: the order-2 difference of this series overflows double precision\n"
+
+    def test_huge_ramp_gives_a_finite_summary(self, capsys, tmp_path):
+        path = tmp_path / "ramp.csv"
+        path.write_text("level\n" + "".join(f"{1e200 * k!r}\n" for k in range(20)))
+        code, out, err = run(
+            capsys, "smooth", "--input", str(path), "--column", "level",
+            "--type", "constant", "--n", "0",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 21
+
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+
+        summary = json.loads(err, parse_constant=not_json)
+        assert summary["input_l2"] == pytest.approx(1e200 * math.sqrt(sum(k * k for k in range(20))), rel=1e-15)
+        assert all(math.isfinite(v) for v in summary.values())
+
+    def test_zero_column_leaves_out_the_ratios(self, capsys, tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text("level\n0\n0\n0\n0\n")
+        code, out, err = run(
+            capsys, "smooth", "--input", str(path), "--column", "level",
+            "--type", "optimal", "--n", "1",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,0"] * 4
+        assert json.loads(err) == {"input_l2": 0.0, "laplacian_input_l2": 0.0, "laplacian_smoothed_l2": 0.0}
+
     def test_csv_rules_byte_exact(self, capsys, tmp_path):
         # quoted comma, blank line, short row and an existing "smoothed" column
         path = tmp_path / "mixed.csv"
@@ -555,6 +593,26 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "extremal", "--n-max", "4")
         assert code == 0
         assert json.loads(out)["tol_scale"] == 10.0
+
+    def test_tolerance_env_scales_the_named_checks(self, capsys, monkeypatch):
+        # README names these checks; the others keep fixed tolerances or have none
+        monkeypatch.setenv(cli.TOL_SCALE_ENV, "1e-30")
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "16")
+        assert code == 1
+        checks = [c for s in json.loads(out)["suites"].values() for c in s["checks"]]
+        assert len(checks) == 21
+        assert {c["name"] for c in checks if not c["passed"]} == {
+            "equioscillation",
+            "optimal_matches_closed_form",
+            "constant_first_order",
+            "triangle_second_order",
+            "dual_path_agreement",
+            "mu_constants",
+            "difference_identity",
+            "scaled_symbol_convergence",
+            "series_vs_trig_form",
+            "epanechnikov_ratio_reported",
+        }
 
     @pytest.mark.parametrize("n_max", ["-5", "0", "4097"])
     def test_n_max_out_of_range_is_usage_error(self, capsys, n_max):

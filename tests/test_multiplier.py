@@ -254,12 +254,20 @@ class TestRayleigh:
         with pytest.raises(ValueError, match=r"difference order must be in \[1, 1023\]"):
             rayleigh_quotient(constant_kernel(1), m, TimeSeries([1.0, 2.0]))
 
+    @pytest.mark.parametrize("m", [520, MAX_ORDER])
+    def test_large_order_stays_finite(self, m):
+        # the squared differences pass the largest double, the quotient does not;
+        # a leaked numpy warning would fail the test
+        got = rayleigh_quotient(triangle_kernel(2), m, TimeSeries(np.ones(8)))
+        assert 0.0 < got <= operator_norm(triangle_kernel(2), m).value
+
+    def test_tiny_signal(self):
+        got = rayleigh_quotient(constant_kernel(1), 2, TimeSeries([1e-200, 3e-200, 2e-200]))
+        assert got == pytest.approx(rayleigh_quotient(constant_kernel(1), 2, TimeSeries([1.0, 3.0, 2.0])), rel=1e-14)
+
     def test_overflow_is_an_error(self):
-        # the operator norm is 9.99e306 here, but the squared differences pass
-        # the largest double; a leaked numpy warning would fail the test
-        assert operator_norm(triangle_kernel(2), MAX_ORDER).value < math.inf
         with pytest.raises(ValueError, match="order-1023 difference of this smoothed signal overflows double precision"):
-            rayleigh_quotient(triangle_kernel(2), MAX_ORDER, TimeSeries(np.ones(8)))
+            rayleigh_quotient(triangle_kernel(2), MAX_ORDER, TimeSeries(1e10 * np.ones(8)))
 
     @pytest.mark.parametrize(
         "u, expected",

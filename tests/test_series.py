@@ -101,6 +101,10 @@ class TestDerivative:
         with pytest.raises(ValueError):
             derivative(TimeSeries([1.0, 2.0]), 2)
 
+    def test_overflow_names_the_order(self):
+        with pytest.raises(ValueError, match="order-2 difference of this series overflows double precision"):
+            derivative(TimeSeries([1.7e308, -1.7e308, 1.7e308]), 2)
+
 
 class TestNorm:
     def test_pythagorean(self):
@@ -111,6 +115,21 @@ class TestNorm:
 
     def test_plain_array(self):
         assert l2_norm([3.0, 4.0]) == 5.0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**-1070, 1e307])
+    def test_squares_neither_underflow_nor_overflow(self, scale):
+        assert l2_norm(TimeSeries([3.0 * scale, 4.0 * scale])) == pytest.approx(5.0 * scale, rel=1e-15, abs=0)
+
+    def test_norm_past_the_largest_double_is_inf(self):
+        assert l2_norm([1.7e308, -1.7e308]) == math.inf
+
+    def test_zero(self):
+        assert l2_norm([0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("exponent", [-390, -100, 0, 100, 390])
+    def test_ordinary_range_is_the_unscaled_norm(self, exponent):
+        v = np.random.default_rng(exponent + 400).normal(size=50) * 2.0**exponent
+        assert l2_norm(v) == float(np.linalg.norm(v))
 
 
 # cells for generated CSV text: numbers as float() reads them, and cells that are not finite numbers
