@@ -129,11 +129,11 @@ def cmd_smooth(args) -> int:
         if len(smoothed) >= 3:
             lap_out = series.l2_norm(series.derivative(smoothed, 2))
             summary["laplacian_smoothed_l2"] = lap_out
-            if summary["input_l2"]:
-                summary["rayleigh_quotient"] = lap_out / summary["input_l2"]
-            if summary.get("laplacian_input_l2"):
-                summary["laplacian_ratio"] = lap_out / summary["laplacian_input_l2"]
-        report = json.dumps(summary, allow_nan=False)
+            for ratio, norm in (("rayleigh_quotient", "input_l2"), ("laplacian_ratio", "laplacian_input_l2")):
+                if 0.0 < summary.get(norm, 0.0) < math.inf:
+                    summary[ratio] = lap_out / summary[norm]
+        # a norm past the largest double is left out, like a ratio over a zero norm
+        report = json.dumps({k: v for k, v in summary.items() if math.isfinite(v)}, allow_nan=False)
         offset = kern.half_width if args.boundary == "valid" else 0
         with _output(args.output) as fh:
             source.write_column(fh, "smoothed", smoothed.values, offset)

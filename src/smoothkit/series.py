@@ -100,10 +100,11 @@ def derivative(f: TimeSeries, m: int) -> TimeSeries:
         raise ValueError("series too short for this difference order")
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.diff(f.values, m)
-    if not np.isfinite(out).all():
-        raise ValueError(f"the order-{m} difference of this series overflows double precision")
     labels = f.labels[: out.size] if f.labels is not None else None
-    return TimeSeries(out, labels)
+    try:
+        return TimeSeries(out, labels)
+    except ValueError as exc:  # finite values whose difference is not
+        raise ValueError(f"the order-{m} difference of this series overflows double precision") from exc
 
 
 def l2_norm(f) -> float:

@@ -320,6 +320,17 @@ class TestSmoothCommand:
         assert summary["input_l2"] == pytest.approx(1e200 * math.sqrt(sum(k * k for k in range(20))), rel=1e-15)
         assert all(math.isfinite(v) for v in summary.values())
 
+    def test_norm_past_the_largest_double_is_left_out(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("level\n" + "1.7e308\n" * 5)
+        code, out, err = run(
+            capsys, "smooth", "--input", str(path), "--column", "level",
+            "--type", "constant", "--n", "0",
+        )
+        assert code == 0
+        assert out.splitlines() == ["level,smoothed"] + ["1.7e308,1.6999999999999999e+308"] * 5
+        assert json.loads(err) == {"laplacian_input_l2": 0.0, "laplacian_smoothed_l2": 0.0}
+
     def test_zero_column_leaves_out_the_ratios(self, capsys, tmp_path):
         path = tmp_path / "zeros.csv"
         path.write_text("level\n0\n0\n0\n0\n")

@@ -265,9 +265,18 @@ class TestRayleigh:
         got = rayleigh_quotient(constant_kernel(1), 2, TimeSeries([1e-200, 3e-200, 2e-200]))
         assert got == pytest.approx(rayleigh_quotient(constant_kernel(1), 2, TimeSeries([1.0, 3.0, 2.0])), rel=1e-14)
 
+    @pytest.mark.parametrize("scale", [2.0**40, 1e10, 1e-10])
+    def test_scaling_the_signal_keeps_the_quotient(self, scale):
+        ones = rayleigh_quotient(triangle_kernel(2), MAX_ORDER, TimeSeries(np.ones(8)))
+        got = rayleigh_quotient(triangle_kernel(2), MAX_ORDER, TimeSeries(scale * np.ones(8)))
+        assert got == pytest.approx(ones, rel=1e-14)
+
     def test_overflow_is_an_error(self):
+        # the quotient is near 2^1023 / 3 and the alternating signal, scaled to
+        # +-1/2, has norm 8, so the norm of the differences is about 2e308
+        f = TimeSeries((-1.0) ** np.arange(256))
         with pytest.raises(ValueError, match="order-1023 difference of this smoothed signal overflows double precision"):
-            rayleigh_quotient(triangle_kernel(2), MAX_ORDER, TimeSeries(1e10 * np.ones(8)))
+            rayleigh_quotient(constant_kernel(1), MAX_ORDER, f)
 
     @pytest.mark.parametrize(
         "u, expected",
