@@ -124,8 +124,7 @@ def cmd_smooth(args) -> int:
         # the summary is finished before any output, so its errors leave stdout empty
         summary = {"input_l2": series.l2_norm(ts)}
         if len(ts) >= 3:
-            lap_in = series.l2_norm(series.derivative(ts, 2))
-            summary["laplacian_input_l2"] = lap_in
+            summary["laplacian_input_l2"] = series.l2_norm(series.derivative(ts, 2))
         if len(smoothed) >= 3:
             lap_out = series.l2_norm(series.derivative(smoothed, 2))
             summary["laplacian_smoothed_l2"] = lap_out

@@ -167,13 +167,12 @@ def rayleigh_quotient(u: SymmetricKernel | GeneralKernel, m: int, f: TimeSeries)
     The signal is treated as finitely supported: the convolution keeps its
     full support and the differences are taken over a zero-padded window, so
     no mass is lost at the ends. Always at most the operator norm. Orders
-    run from 1 to MAX_ORDER. f is first scaled so that its largest value
-    lies in [1/2, 1); ValueError is raised when the norm of the differences
-    of that signal still passes the largest double.
+    run from 1 to MAX_ORDER. f is first scaled by a power of two so that
+    max |f| lies in [1/2, 1), which is exact and keeps the quotient; a norm
+    of the differences still past the largest double raises ValueError.
     """
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"difference order must be in [1, {MAX_ORDER}]")
-    # the quotient does not change when f is scaled by a power of two, which is exact
     _, e = np.frexp(np.max(np.abs(f.values)))
     v = np.ldexp(f.values, -e)
     fnorm = l2_norm(v)
