@@ -4,10 +4,19 @@ Desk-scale stand-in for doubly infinite signals. Convolution is computed
 directly (no FFT); the boundary mode decides how the window is extended,
 with "valid" avoiding any extension so norm inequalities can be tested
 without edge artifacts.
+
+A data CSV is read through `Rows`, whose csv.reader loop defines its rows.
+The two passes of `CsvSource` read it in blocks of whole lines: a plain
+block (no quote, NUL, lone CR or over-long line, and the header's number
+of commas on every non-blank line) is split on commas and written back
+with its lines as they were, which gives the rows, output bytes and error
+messages of that loop without running it row by row; any other block goes
+through the loop.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import itertools
 import math
@@ -33,7 +42,8 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("reflect", "zero", "extend", "valid")
-_BLOCK = 1 << 16  # floats per formatting batch
+_BLOCK = 1 << 12  # floats per formatting batch; a block read by the row loop may format one it does not write
+_CHARS = 1 << 16  # characters per block of whole lines; larger blocks raised peak RSS in `smooth`
 _NORM_LO, _NORM_HI = 2.0**-400, 2.0**400  # in this range no square overflowed, and none lost to underflow shows
 
 
@@ -138,23 +148,26 @@ class Rows:
     """One pass over a data CSV: `fields` is the header; iterating yields the data rows.
 
     This loop holds the row rules of every data CSV: blank lines are
-    skipped, short rows are padded with empty cells, and a row longer than
-    the header or a line that csv.reader rejects (a cell over its field
-    limit) raises CsvFormatError naming its file line ("row N").
+    skipped (the header is the first non-blank row), short rows are padded
+    with empty cells, and a row longer than the header or a line that
+    csv.reader rejects (a cell over its field limit) raises CsvFormatError
+    naming its file line ("row N").
     `line_num` is the file line on which the last row read ends.
     """
 
     def __init__(self, text, path):
         self.path = path
+        self._text = text
+        self._base = 0  # file lines before those that self._reader reads
         self._reader = csv.reader(text)
         try:
-            self.fields: list[str] = next(self._reader, [])
+            self.fields: list[str] = next(filter(None, self._reader), [])
         except csv.Error as exc:
             raise self._malformed(exc) from None
 
     @property
     def line_num(self) -> int:
-        return self._reader.line_num
+        return self._base + self._reader.line_num
 
     def _malformed(self, exc: csv.Error) -> CsvFormatError:
         return CsvFormatError(f"{self.path} row {self.line_num}: {exc}")
@@ -168,12 +181,41 @@ class Rows:
                         continue
                     if len(row) > width:
                         raise CsvFormatError(
-                            f"{self.path} row {reader.line_num}: {len(row)} fields but the header has {width}"
+                            f"{self.path} row {self.line_num}: {len(row)} fields but the header has {width}"
                         )
                     row.extend([""] * (width - len(row)))
                 yield row
         except csv.Error as exc:
             raise self._malformed(exc) from None
+
+    def blocks(self):
+        """The data rows, a block of whole lines at a time.
+
+        A plain block is yielded as (line, lines): its lines without line
+        ends, blank ones included, the first of them file line `line`. Its
+        rows are its non-blank lines split on commas, as csv.reader reads
+        them. Any other block is yielded as (None, self), and iterating
+        this object then gives its rows: of that block alone where its
+        only fault is a non-blank line with another number of commas, and
+        of the rest of the file from the first block with a quote, a NUL,
+        a lone CR or a line at the field limit.
+        """
+        width, limit = len(self.fields), csv.field_size_limit()
+        line = self.line_num + 1
+        for block in iter(lambda: self._text.readlines(_CHARS), []):
+            text = "".join(block)
+            long = len(text) >= limit and max(map(len, block)) >= limit
+            if long or '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+                self._base, self._reader = line - 1, csv.reader(itertools.chain(block, self._text))
+                yield None, self
+                return
+            lines = text.replace("\r", "").split("\n")[: len(block)]
+            if set(map(str.count, filter(None, lines), itertools.repeat(","))) <= {width - 1}:
+                yield line, lines
+            else:
+                self._base, self._reader = line - 1, csv.reader(block)
+                yield None, self
+            line += len(block)
 
 
 class CsvSource:
@@ -220,10 +262,24 @@ class CsvSource:
         """
         with self.rows() as rows:
             j = _column_index(self.path, rows.fields, column)
-            values = np.fromiter(_finite_cells(rows, j, column), float)
-        if not values.size:
+            width, values = len(rows.fields), array.array("d")  # one buffer: freed block arrays stayed in RSS
+            for line, part in rows.blocks():
+                if line is None:
+                    numbered = ((rows.line_num, row[j]) for row in part)
+                else:
+                    start = len(values)
+                    try:
+                        values.extend(map(float, ",".join(filter(None, part)).split(",")[j::width]))
+                        if np.isfinite(np.frombuffer(values[start:])).all():
+                            continue
+                    except ValueError:
+                        pass
+                    del values[start:]  # a bad cell: the loop below names the first one
+                    numbered = ((line + k, text.split(",")[j]) for k, text in enumerate(part) if text)
+                values.extend(_finite(numbered, rows.path, column))
+        if not values:
             raise CsvFormatError(f"{self.path}: no data rows")
-        return values
+        return np.frombuffer(values)
 
     def cells(self, column: str) -> list[str]:
         """The text cells of one column, one per data row."""
@@ -237,31 +293,46 @@ class CsvSource:
         Every column so named is overwritten, or one is appended if there
         is none. The first and last `offset` data rows are left out, so
         `values` holds one number per remaining row, written with 17
-        significant digits. Other cells pass through csv.writer unchanged.
+        significant digits. Other cells pass through csv.writer unchanged;
+        a plain line that gains a column is written as it was, plus the
+        cell.
         """
         writer = csv.writer(out)
         with self.rows() as rows:
             slots = [j for j, name in enumerate(rows.fields) if name == column]
             writer.writerow(rows.fields if slots else rows.fields + [column])
-            it = iter(rows)
-            head = sum(1 for _ in itertools.islice(it, offset))
-            cells = _cells(values)
-            writer.writerows(_filled(itertools.islice(it, values.size), cells, slots))
-            if head != offset or next(cells, None) is not None or sum(1 for _ in it) != offset:
-                raise _changed(self.path)
+            seen = 0  # data rows read
+            for line, part in rows.blocks():
+                if line is None:  # rows that csv.reader reads, each written as it is read
+                    it = iter(part)
+                    seen += sum(1 for _ in itertools.islice(it, max(offset - seen, 0)))
+                    k = min(max(seen - offset, 0), values.size)
+                    for row in _filled(itertools.islice(it, values.size - k), _cells(values[k:]), slots):
+                        writer.writerow(row)
+                        seen += 1
+                    seen += sum(1 for _ in it)
+                    continue
+                batch = list(filter(None, part))
+                lo, hi = (min(max(edge - seen, 0), len(batch)) for edge in (offset, offset + values.size))
+                cells = _cells(values[seen + lo - offset : seen + hi - offset])
+                if slots:
+                    writer.writerows(_filled(map(str.split, batch[lo:hi], itertools.repeat(",")), cells, slots))
+                else:
+                    out.write("".join([f"{text},{cell}\r\n" for text, cell in zip(batch[lo:hi], cells)]))
+                seen += len(batch)
+        if seen != values.size + 2 * offset:
+            raise _changed(self.path)
 
 
-def _finite_cells(rows: Rows, j: int, column: str):
-    """The value cells as floats; CsvFormatError at the first one that is not a finite number."""
-    for row in rows:
+def _finite(numbered, path, column: str):
+    """The cells of (file line, cell) pairs as floats; CsvFormatError at the first that is not a finite number."""
+    for line, cell in numbered:
         try:
-            val = float(row[j])
+            val = float(cell)
         except ValueError:
             val = math.nan
         if not math.isfinite(val):
-            raise CsvFormatError(
-                f"{rows.path} row {rows.line_num}: {column}={row[j]!r} is not a finite number"
-            )
+            raise CsvFormatError(f"{path} row {line}: {column}={cell!r} is not a finite number")
         yield val
 
 

@@ -12,6 +12,7 @@ import pytest
 from smoothkit import asymptotics, cli, extremal, kernels, series
 from smoothkit.kernels import constant_kernel, epanechnikov_kernel, read_kernel_csv, write_kernel_csv
 from smoothkit.multiplier import closed_form_c2, operator_norm
+from test_series import _values_by_rows, _write_by_rows
 
 
 def run(capsys, *argv):
@@ -366,6 +367,18 @@ class TestSmoothCommand:
             '"laplacian_ratio": 0.5390716933750933}\n'
         )
 
+    def test_blank_lines_before_the_headers(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("t,level\n0,1\n1,4\n2,2\n")
+        kernel = tmp_path / "k.csv"
+        kernel.write_text("k,weight\n-1,0.25\n0,0.5\n1,0.25\n")
+        argv = ("smooth", "--input", str(data), "--column", "level", "--file", str(kernel))
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        data.write_text("\n" + data.read_text())
+        kernel.write_text("\r\n\n" + kernel.read_text())
+        assert run(capsys, *argv) == expected
+
     def test_unrelated_duplicate_columns_pass_through(self, capsys, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("a,a,level\n1,2,3\n4,5,6\n")
@@ -527,6 +540,25 @@ class TestSmoothStreaming:
             assert out == ""
             assert err == f"smoothkit: {path} {needle}\n"
             assert not out_path.exists()
+
+    @pytest.mark.parametrize("boundary", series.BOUNDARY_MODES)
+    def test_bytes_match_the_row_loop(self, capsys, tmp_path, boundary):
+        walk = _walk_csv(tmp_path / "walk.csv", 70_000)
+        argv = ("--column", "level", "--type", "epanechnikov", "--n", "7", "--boundary", boundary)
+        code, out, err = run(capsys, "smooth", "--input", str(walk), *argv)
+        assert code == 0
+        with series.CsvSource(walk) as source:
+            ts = series.TimeSeries(_values_by_rows(source, "level"))
+            smoothed = series.convolve(epanechnikov_kernel(7), ts, boundary)
+            offset = 7 if boundary == "valid" else 0
+            assert (out, None) == _write_by_rows(source, "smoothed", smoothed.values, offset)
+        l2_in = series.l2_norm(ts)
+        lap_in, lap_out = (series.l2_norm(series.derivative(f, 2)) for f in (ts, smoothed))
+        summary = {
+            "input_l2": l2_in, "laplacian_input_l2": lap_in, "laplacian_smoothed_l2": lap_out,
+            "rayleigh_quotient": lap_out / l2_in, "laplacian_ratio": lap_out / lap_in,
+        }
+        assert err == json.dumps(summary) + "\n"
 
     @pytest.mark.parametrize("change", ["append", "truncate"])
     def test_input_changed_between_passes(self, capsys, monkeypatch, tmp_path, walk, change):

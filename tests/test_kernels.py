@@ -223,3 +223,11 @@ class TestKernelFiles:
         path.write_text("k,weight\n0,abc\n")
         with pytest.raises(ValueError, match="row 2"):
             read_kernel_csv(path)
+
+    def test_blank_lines_before_the_header(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_text("\n\r\nk,weight\n-1,0.25\n0,0.5\n1,0.25\n")
+        assert read_kernel_csv(path).weights.tolist() == [0.25, 0.5, 0.25]
+        path.write_text("\nk,weight\n0,abc\n")
+        with pytest.raises(ValueError, match="row 3"):
+            read_kernel_csv(path)

@@ -1,3 +1,6 @@
+import csv
+import io
+import itertools
 import math
 
 import numpy as np
@@ -171,6 +174,67 @@ def _values_by_rows(source, column):
     return error or values or f"{source.path}: no data rows"
 
 
+def _write_by_rows(source, column, values, offset):
+    """Reference for CsvSource.write_column: the Rows loop and csv.writer, a row at a time.
+
+    Returns the text written and the message of the error that stopped it, or None.
+    """
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    cells = (f"{v:.17g}" for v in values.tolist())
+    try:
+        with source.rows() as rows:
+            slots = [j for j, name in enumerate(rows.fields) if name == column]
+            writer.writerow(rows.fields if slots else rows.fields + [column])
+            it = iter(rows)
+            head = sum(1 for _ in itertools.islice(it, offset))
+            for row, cell in zip(itertools.islice(it, values.size), cells):
+                for j in slots:
+                    row[j] = cell
+                writer.writerow(row if slots else row + [cell])
+            if head != offset or next(cells, None) is not None or sum(1 for _ in it) != offset:
+                raise CsvFormatError(f"{source.path}: changed while it was read")
+    except CsvFormatError as exc:
+        return out.getvalue(), str(exc)
+    return out.getvalue(), None
+
+
+def _written(source, column, values, offset):
+    out = io.StringIO(newline="")
+    try:
+        source.write_column(out, column, values, offset)
+    except CsvFormatError as exc:
+        return out.getvalue(), str(exc)
+    return out.getvalue(), None
+
+
+def _row_count(source):
+    """The data rows that Rows reads before its first error."""
+    count = 0
+    with source.rows() as rows:
+        try:
+            for _ in rows:
+                count += 1
+        except CsvFormatError:
+            pass
+    return count
+
+
+# lines at the edge of what a plain block may hold, each placed past row
+# 70 000, where it falls in a block after the first; the header is "value,t"
+_PAST_FIRST_BLOCK = {
+    "quoted_newline": ['70000.5,"a\nb"'],
+    "lone_cr": ["70000.5,a\r70000.75,b"],
+    "nul": ["70000.5,a\x00b"],
+    "long_cell": ["70000.5," + "7" * 200_000],
+    "short_then_long_row": ["70000.5", "70001.5,a,b"],
+    "whitespace_line": ["   "],
+    "nan": ["nan,70000"],
+    "crlf": ["70000.5,a\r", "70001.5,b\r"],
+    "no_line_end": None,
+}
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -278,10 +342,13 @@ class TestCsv:
         got = read_csv(path, "value").values
         assert got.tolist() == [float(c) for c in cells]
 
-    @pytest.mark.parametrize("bad", [False, True], ids=["good", "bad"])
-    def test_values_reads_the_file_once(self, tmp_path, monkeypatch, bad):
+    @pytest.mark.parametrize(
+        "bad, where", [(False, 3), (True, 3), (True, 70_002)], ids=["good", "bad", "bad_past_first_block"]
+    )
+    def test_values_reads_the_file_once(self, tmp_path, monkeypatch, bad, where):
         path = tmp_path / "series.csv"
-        path.write_text("value\n1\n" + ("abc" if bad else "2") + "\n3\n")
+        lines = ["1"] * (where - 2) + ["abc" if bad else "2", "3"]
+        path.write_text("value\n" + "\n".join(lines) + "\n")
         passes = []
         rows = CsvSource.rows
 
@@ -292,7 +359,7 @@ class TestCsv:
         monkeypatch.setattr(CsvSource, "rows", counted)
         with CsvSource(path) as source:
             if bad:
-                with pytest.raises(CsvFormatError, match="row 3: value='abc' is not a finite number"):
+                with pytest.raises(CsvFormatError, match=f"row {where}: value='abc' is not a finite number"):
                     source.values("value")
             else:
                 assert source.values("value").tolist() == [1.0, 2.0, 3.0]
@@ -310,6 +377,47 @@ class TestCsv:
             except CsvFormatError as exc:
                 got = str(exc)
         assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=_csv_text(),
+        column=st.sampled_from(["smoothed", "value", "t"]),
+        offset=st.sampled_from([0, 2]),
+        extra=st.sampled_from([0, 0, 0, 1, -1]),
+    )
+    def test_write_column_matches_rows_and_csv_writer(self, tmp_path_factory, text, column, offset, extra):
+        # "value" and "t" are filled in place where the header names them; extra != 0 is a changed file
+        path = tmp_path_factory.mktemp("generated") / "series.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with CsvSource(path) as source:
+            values = np.arange(max(_row_count(source) - 2 * offset + extra, 0)) / 3
+            assert _written(source, column, values, offset) == _write_by_rows(source, column, values, offset)
+
+    @pytest.mark.parametrize("case", list(_PAST_FIRST_BLOCK))
+    def test_both_passes_past_the_first_block(self, tmp_path, case):
+        lines = [f"{i}.25,{i}" for i in range(70_005)]
+        lines[70_000:70_000] = _PAST_FIRST_BLOCK[case] or []
+        path = tmp_path / "series.csv"
+        path.write_text("\n".join(["value,t", *lines]) + ("" if case == "no_line_end" else "\n"), newline="")
+        with CsvSource(path) as source:
+            expected = _values_by_rows(source, "value")
+            try:
+                got = source.values("value").tolist()
+            except CsvFormatError as exc:
+                got = str(exc)
+            assert got == expected
+            values = np.arange(_row_count(source) - 4) / 3
+            for column in ("smoothed", "t"):
+                assert _written(source, column, values, 2) == _write_by_rows(source, column, values, 2)
+
+    def test_header_is_the_first_non_blank_row(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("\n\r\nt,value\n0,1.5\n\n1,abc\n")
+        with CsvSource(path) as source:
+            with source.rows() as rows:
+                assert rows.fields == ["t", "value"]
+            with pytest.raises(CsvFormatError, match="row 6: value='abc' is not a finite number"):
+                source.values("value")
 
     def test_write_csv_bytes(self, tmp_path):
         path = tmp_path / "series.csv"
