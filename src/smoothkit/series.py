@@ -10,8 +10,8 @@ The two passes of `CsvSource` read it in blocks of whole lines: a plain
 block (no quote, NUL, lone CR or over-long line, and the header's number
 of commas on every non-blank line) is split on commas and written back
 with its lines as they were, which gives the rows, output bytes and error
-messages of that loop without running it row by row; any other block goes
-through the loop.
+messages of that loop without running it row by row. From the first block
+that is not plain, the loop reads the rest of the file.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("reflect", "zero", "extend", "valid")
-_BLOCK = 1 << 12  # floats per formatting batch; a block read by the row loop may format one it does not write
+_BLOCK = 1 << 16  # floats per formatting batch
 _CHARS = 1 << 16  # characters per block of whole lines; larger blocks raised peak RSS in `smooth`
 _NORM_LO, _NORM_HI = 2.0**-400, 2.0**400  # in this range no square overflowed, and none lost to underflow shows
 
@@ -194,27 +194,23 @@ class Rows:
         A plain block is yielded as (line, lines): its lines without line
         ends, blank ones included, the first of them file line `line`. Its
         rows are its non-blank lines split on commas, as csv.reader reads
-        them. Any other block is yielded as (None, self), and iterating
-        this object then gives its rows: of that block alone where its
-        only fault is a non-blank line with another number of commas, and
-        of the rest of the file from the first block with a quote, a NUL,
-        a lone CR or a line at the field limit.
+        them. The first block that is not plain (a quote, a NUL, a lone CR,
+        a line at the field limit, or a non-blank line with another number
+        of commas) ends the blocks: (None, self) is yielded, and iterating
+        this object then gives the rows of the rest of the file.
         """
         width, limit = len(self.fields), csv.field_size_limit()
         line = self.line_num + 1
         for block in iter(lambda: self._text.readlines(_CHARS), []):
             text = "".join(block)
+            lines = text.replace("\r", "").split("\n")[: len(block)]
+            odd = set(map(str.count, filter(None, lines), itertools.repeat(","))) - {width - 1}
             long = len(text) >= limit and max(map(len, block)) >= limit
-            if long or '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+            if odd or long or '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
                 self._base, self._reader = line - 1, csv.reader(itertools.chain(block, self._text))
                 yield None, self
                 return
-            lines = text.replace("\r", "").split("\n")[: len(block)]
-            if set(map(str.count, filter(None, lines), itertools.repeat(","))) <= {width - 1}:
-                yield line, lines
-            else:
-                self._base, self._reader = line - 1, csv.reader(block)
-                yield None, self
+            yield line, lines
             line += len(block)
 
 
@@ -265,7 +261,7 @@ class CsvSource:
             width, values = len(rows.fields), array.array("d")  # one buffer: freed block arrays stayed in RSS
             for line, part in rows.blocks():
                 if line is None:
-                    numbered = ((rows.line_num, row[j]) for row in part)
+                    where = lambda: rows.line_num
                 else:
                     start = len(values)
                     try:
@@ -274,9 +270,10 @@ class CsvSource:
                             continue
                     except ValueError:
                         pass
-                    del values[start:]  # a bad cell: the loop below names the first one
-                    numbered = ((line + k, text.split(",")[j]) for k, text in enumerate(part) if text)
-                values.extend(_finite(numbered, rows.path, column))
+                    del values[start:]  # a bad cell: csv.reader over this block names the first one
+                    reader = csv.reader(part)
+                    part, where = filter(None, reader), lambda: line - 1 + reader.line_num
+                values.extend(_finite(part, j, where, rows.path, column))
         if not values:
             raise CsvFormatError(f"{self.path}: no data rows")
         return np.frombuffer(values)
@@ -303,15 +300,15 @@ class CsvSource:
             writer.writerow(rows.fields if slots else rows.fields + [column])
             seen = 0  # data rows read
             for line, part in rows.blocks():
-                if line is None:  # rows that csv.reader reads, each written as it is read
+                if line is None:  # the rest of the file, as csv.reader reads it
                     it = iter(part)
                     seen += sum(1 for _ in itertools.islice(it, max(offset - seen, 0)))
                     k = min(max(seen - offset, 0), values.size)
-                    for row in _filled(itertools.islice(it, values.size - k), _cells(values[k:]), slots):
-                        writer.writerow(row)
-                        seen += 1
-                    seen += sum(1 for _ in it)
-                    continue
+                    cells = _cells(values[k:])
+                    writer.writerows(_filled(itertools.islice(it, values.size - k), cells, slots))
+                    # a cell left unused is a row missing from the file
+                    seen += values.size - k - sum(1 for _ in cells) + sum(1 for _ in it)
+                    break
                 batch = list(filter(None, part))
                 lo, hi = (min(max(edge - seen, 0), len(batch)) for edge in (offset, offset + values.size))
                 cells = _cells(values[seen + lo - offset : seen + hi - offset])
@@ -324,15 +321,15 @@ class CsvSource:
             raise _changed(self.path)
 
 
-def _finite(numbered, path, column: str):
-    """The cells of (file line, cell) pairs as floats; CsvFormatError at the first that is not a finite number."""
-    for line, cell in numbered:
+def _finite(rows, j: int, where, path, column: str):
+    """The cells row[j] as floats; CsvFormatError at the first that is not a finite number, on file line where()."""
+    for row in rows:
         try:
-            val = float(cell)
+            val = float(row[j])
         except ValueError:
             val = math.nan
         if not math.isfinite(val):
-            raise CsvFormatError(f"{path} row {line}: {column}={cell!r} is not a finite number")
+            raise CsvFormatError(f"{path} row {where()}: {column}={row[j]!r} is not a finite number")
         yield val
 
 

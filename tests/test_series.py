@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from smoothkit import series
 from smoothkit.kernels import GeneralKernel, constant_kernel, epanechnikov_kernel, triangle_kernel
 from smoothkit.multiplier import operator_norm
 from smoothkit.series import (
@@ -220,6 +222,10 @@ def _row_count(source):
     return count
 
 
+# characters per block of whole lines: small sizes put block ends, and the
+# hand-off to the row loop, at every row of the short generated files
+_BLOCK_CHARS = st.sampled_from([1, 7, 40, 1 << 16])
+
 # lines at the edge of what a plain block may hold, each placed past row
 # 70 000, where it falls in a block after the first; the header is "value,t"
 _PAST_FIRST_BLOCK = {
@@ -366,11 +372,11 @@ class TestCsv:
         assert len(passes) == 1
 
     @settings(max_examples=150, deadline=None)
-    @given(text=_csv_text())
-    def test_values_match_rows_and_float(self, tmp_path_factory, text):
+    @given(text=_csv_text(), chars=_BLOCK_CHARS)
+    def test_values_match_rows_and_float(self, tmp_path_factory, text, chars):
         path = tmp_path_factory.mktemp("generated") / "series.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        with CsvSource(path) as source:
+        with CsvSource(path) as source, mock.patch.object(series, "_CHARS", chars):
             expected = _values_by_rows(source, "value")
             try:
                 got = source.values("value").tolist()
@@ -384,12 +390,13 @@ class TestCsv:
         column=st.sampled_from(["smoothed", "value", "t"]),
         offset=st.sampled_from([0, 2]),
         extra=st.sampled_from([0, 0, 0, 1, -1]),
+        chars=_BLOCK_CHARS,
     )
-    def test_write_column_matches_rows_and_csv_writer(self, tmp_path_factory, text, column, offset, extra):
+    def test_write_column_matches_rows_and_csv_writer(self, tmp_path_factory, text, column, offset, extra, chars):
         # "value" and "t" are filled in place where the header names them; extra != 0 is a changed file
         path = tmp_path_factory.mktemp("generated") / "series.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        with CsvSource(path) as source:
+        with CsvSource(path) as source, mock.patch.object(series, "_CHARS", chars):
             values = np.arange(max(_row_count(source) - 2 * offset + extra, 0)) / 3
             assert _written(source, column, values, offset) == _write_by_rows(source, column, values, offset)
 
