@@ -6,18 +6,21 @@ with "valid" avoiding any extension so norm inequalities can be tested
 without edge artifacts.
 
 A data CSV is read through `Rows`, whose csv.reader loop defines its rows.
-The two passes of `CsvSource` read it in blocks of whole lines: a plain
-block (no quote, NUL, lone CR or over-long line, and the header's number
-of commas on every non-blank line) is split on commas and written back
-with its lines as they were, which gives the rows, output bytes and error
-messages of that loop without running it row by row. From the first block
-that is not plain, the loop reads the rest of the file.
+The two passes of `CsvSource` read it in blocks of whole lines, each block
+one string from one read. A plain block (no quote, NUL, lone CR or
+over-long line, and the header's number of commas on every non-blank line)
+is split on commas in pass 1. In pass 2 its non-blank lines, with `%`
+escaped, each followed by a cell spec, form one template that a single `%`
+call fills with the block's values. That gives the rows, output bytes and
+error messages of the loop without running it row by row. From the first
+block that is not plain, the loop reads the rest of the file.
 """
 
 from __future__ import annotations
 
 import array
 import csv
+import io
 import itertools
 import math
 import os
@@ -43,6 +46,8 @@ __all__ = [
 
 BOUNDARY_MODES = ("reflect", "zero", "extend", "valid")
 _BLOCK = 1 << 16  # floats per formatting batch
+_CELL = "%.17g"  # every written number: 17 significant digits, so a read round-trips exactly
+_APPENDED = f",{_CELL}\r\n"  # what pass 2 adds to each plain line
 _CHARS = 1 << 16  # characters per block of whole lines; larger blocks raised peak RSS in `smooth`
 _NORM_LO, _NORM_HI = 2.0**-400, 2.0**400  # in this range no square overflowed, and none lost to underflow shows
 
@@ -191,27 +196,34 @@ class Rows:
     def blocks(self):
         """The data rows, a block of whole lines at a time.
 
-        A plain block is yielded as (line, lines): its lines without line
-        ends, blank ones included, the first of them file line `line`. Its
-        rows are its non-blank lines split on commas, as csv.reader reads
-        them. The first block that is not plain (a quote, a NUL, a lone CR,
-        a line at the field limit, or a non-blank line with another number
-        of commas) ends the blocks: (None, self) is yielded, and iterating
-        this object then gives the rows of the rest of the file.
+        Each block is one read of `_CHARS` characters, completed by a
+        readline when it ends inside a line. A plain block is yielded as
+        (line, lines): its lines without line ends, blank ones included, the
+        first of them file line `line`. Its rows are its non-blank lines
+        split on commas, as csv.reader reads them. The first block that is
+        not plain (a quote, a NUL, a lone CR, a line at the field limit, or
+        a non-blank line with another number of commas) ends the blocks:
+        (None, self) is yielded, and iterating this object then gives the
+        rows of the rest of the file.
         """
         width, limit = len(self.fields), csv.field_size_limit()
         line = self.line_num + 1
-        for block in iter(lambda: self._text.readlines(_CHARS), []):
-            text = "".join(block)
-            lines = text.replace("\r", "").split("\n")[: len(block)]
+        while text := self._text.read(_CHARS):
+            if text[-1] != "\n":
+                text += self._text.readline()
+            lines = text.replace("\r", "").split("\n")
+            if text[-1] == "\n":
+                del lines[-1]
             odd = set(map(str.count, filter(None, lines), itertools.repeat(","))) - {width - 1}
-            long = len(text) >= limit and max(map(len, block)) >= limit
+            long = len(text) >= limit and max(map(len, io.StringIO(text, newline=""))) >= limit
             if odd or long or '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-                self._base, self._reader = line - 1, csv.reader(itertools.chain(block, self._text))
+                # the text layer's newline="" splitting, which str.splitlines does not follow
+                rest = itertools.chain(io.StringIO(text, newline=""), self._text)
+                self._base, self._reader = line - 1, csv.reader(rest)
                 yield None, self
                 return
             yield line, lines
-            line += len(block)
+            line += len(lines)
 
 
 class CsvSource:
@@ -291,8 +303,8 @@ class CsvSource:
         is none. The first and last `offset` data rows are left out, so
         `values` holds one number per remaining row, written with 17
         significant digits. Other cells pass through csv.writer unchanged;
-        a plain line that gains a column is written as it was, plus the
-        cell.
+        the non-blank lines of a plain block that gains a column are written
+        as they were, plus the cell, by one `%` call on a template.
         """
         writer = csv.writer(out)
         with self.rows() as rows:
@@ -311,11 +323,13 @@ class CsvSource:
                     break
                 batch = list(filter(None, part))
                 lo, hi = (min(max(edge - seen, 0), len(batch)) for edge in (offset, offset + values.size))
-                cells = _cells(values[seen + lo - offset : seen + hi - offset])
+                chunk = values[seen + lo - offset : seen + hi - offset]
                 if slots:
-                    writer.writerows(_filled(map(str.split, batch[lo:hi], itertools.repeat(",")), cells, slots))
-                else:
-                    out.write("".join([f"{text},{cell}\r\n" for text, cell in zip(batch[lo:hi], cells)]))
+                    split = map(str.split, batch[lo:hi], itertools.repeat(","))
+                    writer.writerows(_filled(split, _cells(chunk), slots))
+                elif hi > lo:
+                    template = "\n".join(batch[lo:hi]).replace("%", "%%").replace("\n", _APPENDED) + _APPENDED
+                    out.write(template % tuple(chunk.tolist()))
                 seen += len(batch)
         if seen != values.size + 2 * offset:
             raise _changed(self.path)
@@ -334,9 +348,9 @@ def _finite(rows, j: int, where, path, column: str):
 
 
 def _cells(values: np.ndarray):
-    """The values as cells of 17 significant digits, formatted a block at a time."""
+    """The values as `_CELL` cells, formatted a block at a time."""
     return itertools.chain.from_iterable(
-        [f"{v:.17g}" for v in values[i : i + _BLOCK].tolist()] for i in range(0, values.size, _BLOCK)
+        [_CELL % v for v in values[i : i + _BLOCK].tolist()] for i in range(0, values.size, _BLOCK)
     )
 
 

@@ -137,16 +137,22 @@ class TestNorm:
         assert l2_norm(v) == float(np.linalg.norm(v))
 
 
-# cells for generated CSV text: numbers as float() reads them, and cells that are not finite numbers
-_NUMBERS = ["1", " 2.5 ", "-0", "1e-320", "+4_0", "1_0", '"3"']
+# cells for generated CSV text: numbers as float() reads them, and cells that are not finite numbers;
+# \x0b, \x0c, \x85 and \u2028 are whitespace to float() and line ends to str.splitlines, not to csv
+_NUMBERS = ["1", " 2.5 ", "-0", "1e-320", "+4_0", "1_0", '"3"', "\x0b1\x85", "\u20282\x0c"]
 _OTHERS = ["nan", "-inf", "", "abc", "0x10", '"a,b"', '"x\ny"']
+# pass-through cells that a format template must copy as they are
+_TEXT = ["50%", "%s", "%%d", "%(t)s", "{}", "{0}", "a\x0bb", "\x85", "\u2028", "\x1e"]
 
 
 @st.composite
 def _csv_text(draw):
     header = draw(st.sampled_from(["value", "t,value", "value,t,note", "\ufefft,value,note"]))
     width = header.count(",") + 1
-    full = st.lists(st.sampled_from(_NUMBERS), min_size=width, max_size=width)
+    j = header.lstrip("\ufeff").split(",").index("value")
+    cell = [st.sampled_from(_NUMBERS + _TEXT)] * width
+    cell[j] = st.sampled_from(_NUMBERS)
+    full = st.tuples(*cell).map(list)
     other = st.lists(st.sampled_from(_NUMBERS + _OTHERS), max_size=width + 1)
     lead = [",".join(["0.5"] * width)] * draw(st.integers(0, 70))  # so the first bad row can lie deep
     lines = draw(st.lists(st.one_of(full, full, other).map(",".join), max_size=30))
@@ -435,6 +441,21 @@ class TestCsv:
         )
         write_csv(path, TimeSeries([1.5, -0.0, 100.0], labels=["a,b", 'q"', "line\nbreak"]))
         assert path.read_bytes() == b'label,value\r\n"a,b",1.5\r\n"q""",-0\r\n"line\nbreak",100\r\n'
+
+    def test_written_numbers_share_one_format(self, tmp_path):
+        # write_csv, pass 2's template and its in-place cells all write these 17-digit cells
+        values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, -1.0 / 3.0])
+        cells = [b"-0", b"4.9406564584124654e-324", b"1.7976931348623157e+308", b"0.10000000000000001"]
+        cells.append(b"-0.33333333333333331")
+        path = tmp_path / "series.csv"
+        write_csv(path, TimeSeries(values), column="x")
+        assert path.read_bytes() == b"x\r\n" + b"".join(c + b"\r\n" for c in cells)
+        with CsvSource(path) as source:
+            assert source.values("x").tolist() == values.tolist()
+            appended, error = _written(source, "y", values, 0)
+            assert error is None
+            assert appended.encode() == b"x,y\r\n" + b"".join(c + b"," + c + b"\r\n" for c in cells)
+            assert _written(source, "x", values, 0) == (path.read_bytes().decode(), None)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
