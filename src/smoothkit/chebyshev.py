@@ -96,7 +96,7 @@ def transform(values) -> ChebSeries:
     return ChebSeries(c)
 
 
-# not exported; stays only until the benchmark re-anchor (ROADMAP item 2) deletes it
+# not exported; stays only until perfbench stops naming it (ROADMAP item 5 deletes it)
 def deflate_at_one(q: ChebSeries) -> ChebSeries:
     """Divide out the root at x = 1: returns s with (x - 1) * s(x) = q(x).
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval, transform
-from .gridsearch import refine_grid_max
+from .gridsearch import refine_grid_max, sample_count
 
 __all__ = [
     "ExtremalSolution",
@@ -154,11 +154,14 @@ def weighted_max(p: ChebSeries, points: int) -> tuple[float, float]:
 
 
 def minimax_lower_bound_check(p: ChebSeries, d: int) -> LowerBoundReport:
-    """Confirm max |(1-x) p(x)| >= alpha(d) for a challenger p with p(1) = 1."""
+    """Confirm max |(1-x) p(x)| >= alpha(d) for a challenger p with p(1) = 1.
+
+    The maximum is `weighted_max` on `gridsearch.sample_count(d + 2)` points.
+    """
     if p.degree > d:
         raise ValueError("challenger degree exceeds the stated bound")
     if abs(float(np.sum(p.coeffs)) - 1.0) > 1e-9:
         raise ValueError("challenger must satisfy p(1) = 1")
-    m, _ = weighted_max(p, 10 * (d + 2))
+    m, _ = weighted_max(p, sample_count(d + 2))
     alpha = alpha_closed_form(d)
     return LowerBoundReport(m >= alpha * (1.0 - 1e-9), m, alpha, m - alpha)

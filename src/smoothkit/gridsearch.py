@@ -4,13 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["polish", "refine_grid_max", "resolve_ties", "select_peaks"]
+__all__ = ["polish", "refine_grid_max", "resolve_ties", "sample_count", "select_peaks"]
 
 _MAX_STEPS = 100
 _TOP = 3  # brackets always polished, best first
 # central-difference spacing over bracket width; much smaller spacings turn the
 # ~1e-9 relative rounding of 1 - cos(theta) near theta ~ 1/n into slope noise
 _SPACING = 2.5e-3
+
+
+def sample_count(degree: int) -> int:
+    """Equally spaced samples on [0, pi] that bracket the maximum of a degree-D cosine polynomial.
+
+    The count is 8 D + 33, a spacing h = pi / (8 D + 32). Every maximum
+    sampled here is of |P| for a trigonometric polynomial P of degree at most
+    D (the symbol on the torus; |(1 - cos theta) p(cos theta)| for the
+    polynomial form). Where |P| peaks at M, the real part of P turned to
+    phase 0 there is a real polynomial R <= M of degree D with its maximum M
+    at the peak, so R' = 0 there and |R''| <= D^2 M (Bernstein's inequality,
+    twice). The nearest node lies within h / 2 of the peak, where
+    |P| >= R >= M (1 - D^2 h^2 / 8) >= (1 - pi^2 / 512) M > 0.98 M. That is
+    inside `select_peaks`' 5% band, so the true peak's bracket is kept unless
+    more than 12 sampled peaks lie in that band (its cap). Past the cap, the
+    peaks ranked by samples that are up to 2% low may leave the highest out.
+    """
+    return 8 * degree + 33
 
 
 def polish(derivs, lo, hi) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,9 @@ of (2 |sin(xi/2)|)^m |u_hat(xi)|. The maximum of this trigonometric
 polynomial is located on a fixed dense grid, sampled by one FFT, and
 polished by batched Newton steps, so results are deterministic. For
 symmetric kernels and m = 2 the same quantity can be computed as
-2 max |(1-x) p_u(x)| over [-1, 1] by Clenshaw evaluation on its own
-grid, giving an independent cross-check path; both polish with the same
-Newton loop.
+2 max |(1-x) p_u(x)| over [-1, 1] by Clenshaw evaluation at the same
+frequencies, giving an independent cross-check path; both grids follow
+`gridsearch.sample_count` and both polish with the same Newton loop.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .chebyshev import clenshaw_eval
 from .extremal import alpha_closed_form, weighted_max
-from .gridsearch import polish, resolve_ties, select_peaks
+from .gridsearch import polish, resolve_ties, sample_count, select_peaks
 from .kernels import GeneralKernel, SymmetricKernel, full_weights, to_polynomial
 from .series import TimeSeries, l2_norm
 
@@ -48,7 +48,7 @@ class MultiplierBound:
     method: str
 
 
-# not exported; stays only until the benchmark re-anchor (ROADMAP item 2) deletes it
+# not exported; stays only until perfbench stops naming it (ROADMAP item 5 deletes it)
 def symbol_magnitude(u: SymmetricKernel | GeneralKernel, m: int, xi):
     """Symbol value (2 |sin(xi/2)|)^m |u_hat(xi)| at frequency xi.
 
@@ -70,11 +70,11 @@ def symbol_magnitude(u: SymmetricKernel | GeneralKernel, m: int, xi):
 def operator_norm(u: SymmetricKernel | GeneralKernel, m: int) -> MultiplierBound:
     """Sharp constant of the smoothing inequality, found on the frequency torus.
 
-    The symbol is a trigonometric polynomial of degree n + m, so a grid of
-    16 (n + m) + 64 points brackets every local maximum (Bernstein bound on
-    the derivative). One zero-padded real FFT of the weights samples it;
-    real weights make the symbol even, so only xi in [0, pi] is kept. The
-    best brackets are polished together by safeguarded Newton to 1e-12 in
+    The symbol is a trigonometric polynomial of degree n + m, so it is
+    sampled at `gridsearch.sample_count(n + m)` frequencies on [0, pi]: one
+    real FFT of the weights zero-padded to twice that count less two, the
+    half grid of which suffices because real weights make the symbol even.
+    The best brackets are polished together by safeguarded Newton to 1e-12 in
     xi. Values tied within 1e-12 relative resolve to the smallest frequency.
     Orders run from 1 to MAX_ORDER; a maximum past the largest double raises
     ValueError.
@@ -82,7 +82,7 @@ def operator_norm(u: SymmetricKernel | GeneralKernel, m: int) -> MultiplierBound
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"difference order must be in [1, {MAX_ORDER}]")
     w = full_weights(u)
-    count = 16 * (u.half_width + m) + 64
+    count = 2 * (sample_count(u.half_width + m) - 1)
     xi = np.arange(count // 2 + 1) * (2.0 * math.pi / count)
     with np.errstate(over="ignore", invalid="ignore"):
         samples = (2.0 * np.sin(0.5 * xi)) ** m * np.abs(np.fft.rfft(w, count))
@@ -146,11 +146,14 @@ def operator_norm_via_polynomial(u: SymmetricKernel) -> MultiplierBound:
     """Order-2 norm by the substitution x = cos(xi): 2 max |(1-x) p_u(x)|.
 
     Only the second-difference case reduces this way, since
-    |exp(i xi) - 1|^2 = 2 (1 - cos xi).
+    |exp(i xi) - 1|^2 = 2 (1 - cos xi). The maximum is sampled by Clenshaw
+    at `gridsearch.sample_count(n + 2)` equally spaced theta in [0, pi], the
+    frequencies of the torus half grid at m = 2, and polished by
+    `gridsearch.refine_grid_max`.
     """
     if not isinstance(u, SymmetricKernel):
         raise ValueError("polynomial form needs a symmetric kernel")
-    value, theta = weighted_max(to_polynomial(u), 16 * (u.half_width + 2) + 64)
+    value, theta = weighted_max(to_polynomial(u), sample_count(u.half_width + 2))
     return MultiplierBound(2.0 * value, theta, 2, "polynomial_form")
 
 

@@ -542,8 +542,14 @@ class TestSmoothStreaming:
             assert not out_path.exists()
 
     @pytest.mark.parametrize("boundary", series.BOUNDARY_MODES)
-    def test_bytes_match_the_row_loop(self, capsys, tmp_path, boundary):
-        walk = _walk_csv(tmp_path / "walk.csv", 70_000)
+    def test_bytes_match_the_row_loop(self, capsys, monkeypatch, tmp_path, boundary):
+        # one real-size file crosses 2^16-character blocks; the others cross
+        # blocks of 256 characters, about 10 rows each
+        if boundary == "reflect":
+            walk = _walk_csv(tmp_path / "walk.csv", 70_000)
+        else:
+            walk = _walk_csv(tmp_path / "walk.csv", 300)
+            monkeypatch.setattr(series, "_CHARS", 256)
         argv = ("--column", "level", "--type", "epanechnikov", "--n", "7", "--boundary", boundary)
         code, out, err = run(capsys, "smooth", "--input", str(walk), *argv)
         assert code == 0

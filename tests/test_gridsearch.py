@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
-from smoothkit.gridsearch import refine_grid_max, resolve_ties, select_peaks
+from smoothkit import extremal, multiplier
+from smoothkit.gridsearch import refine_grid_max, resolve_ties, sample_count, select_peaks
+from smoothkit.kernels import optimal_kernel
 
 
 def two_bumps(scale, right_excess):
@@ -58,3 +61,45 @@ class TestSelectPeaks:
         chosen = select_peaks(fs)
         assert chosen.size == 12
         assert np.all(np.diff(fs[chosen]) <= 0)
+
+
+class TestSampleCount:
+    def test_count(self):
+        assert [sample_count(d) for d in (0, 1, 2, 7, 4098)] == [8 * d + 33 for d in (0, 1, 2, 7, 4098)]
+
+    @pytest.mark.parametrize("degree", [1, 7, 64, 513])
+    def test_sampled_max_within_the_bernstein_bound(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(5):
+            coeffs = rng.standard_normal(degree + 1)
+
+            def fn(theta):
+                return np.abs(np.polynomial.chebyshev.chebval(np.cos(theta), coeffs))
+
+            grid = np.linspace(0.0, math.pi, sample_count(degree))
+            # polished from a grid 16 times denser than the rule's
+            polished, _ = refine_grid_max(fn, np.linspace(0.0, math.pi, 16 * (grid.size - 1) + 1))
+            assert np.max(fn(grid)) >= (1.0 - math.pi**2 / 512) * polished
+
+    @pytest.mark.parametrize("n", [1, 10, 257])
+    def test_polynomial_nodes_are_the_torus_half_grid(self, monkeypatch, n):
+        grids, lengths = [], []
+        refine, rfft = extremal.refine_grid_max, np.fft.rfft
+
+        def record_grid(fn, grid):
+            grids.append(np.asarray(grid))
+            return refine(fn, grid)
+
+        def record_length(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(extremal, "refine_grid_max", record_grid)
+        monkeypatch.setattr(np.fft, "rfft", record_length)
+        u = optimal_kernel(n)
+        multiplier.operator_norm_via_polynomial(u)
+        multiplier.operator_norm(u, 2)
+        (theta,), (count,) = grids, lengths
+        xi = 2.0 * math.pi * np.arange(count // 2 + 1) / count
+        assert theta.shape == xi.shape
+        assert np.all(np.abs(theta - xi) <= 4 * np.spacing(xi))

@@ -191,6 +191,20 @@ class TestPolynomialPath:
         b = operator_norm_via_polynomial(u).value
         assert abs(a - b) <= 1e-9 * a
 
+    @pytest.mark.parametrize("n", [512, 2048, 4096])
+    @pytest.mark.parametrize("kind", ["optimal", "epanechnikov", "random"])
+    def test_dual_path_at_large_n(self, kind, n):
+        if kind == "random":
+            u = random_symmetric(np.random.default_rng(n), n)
+        else:
+            u = {"optimal": optimal_kernel, "epanechnikov": epanechnikov_kernel}[kind](n)
+        torus = operator_norm(u, 2).value
+        poly = operator_norm_via_polynomial(u).value
+        assert abs(poly - torus) <= 1e-9 * torus
+        if kind == "optimal":
+            for value in (torus, poly):
+                assert value == pytest.approx(closed_form_c2(n), rel=1e-9)
+
 
 class TestClosedForm:
     def test_values(self):

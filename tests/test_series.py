@@ -232,8 +232,8 @@ def _row_count(source):
 # hand-off to the row loop, at every row of the short generated files
 _BLOCK_CHARS = st.sampled_from([1, 7, 40, 1 << 16])
 
-# lines at the edge of what a plain block may hold, each placed past row
-# 70 000, where it falls in a block after the first; the header is "value,t"
+# lines at the edge of what a plain block may hold, each placed where it falls
+# in a block after the first; the header is "value,t"
 _PAST_FIRST_BLOCK = {
     "quoted_newline": ['70000.5,"a\nb"'],
     "lone_cr": ["70000.5,a\r70000.75,b"],
@@ -408,11 +408,14 @@ class TestCsv:
 
     @pytest.mark.parametrize("case", list(_PAST_FIRST_BLOCK))
     def test_both_passes_past_the_first_block(self, tmp_path, case):
-        lines = [f"{i}.25,{i}" for i in range(70_005)]
-        lines[70_000:70_000] = _PAST_FIRST_BLOCK[case] or []
+        # one case crosses a real block after 70 000 rows; the others reach
+        # the same transitions after 40 rows in blocks of 40 characters
+        rows, chars = (70_000, series._CHARS) if case == "quoted_newline" else (40, 40)
+        lines = [f"{i}.25,{i}" for i in range(rows + 5)]
+        lines[rows:rows] = _PAST_FIRST_BLOCK[case] or []
         path = tmp_path / "series.csv"
         path.write_text("\n".join(["value,t", *lines]) + ("" if case == "no_line_end" else "\n"), newline="")
-        with CsvSource(path) as source:
+        with CsvSource(path) as source, mock.patch.object(series, "_CHARS", chars):
             expected = _values_by_rows(source, "value")
             try:
                 got = source.values("value").tolist()
