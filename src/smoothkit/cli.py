@@ -166,9 +166,8 @@ def cmd_asympt(args) -> int:
             raise UsageError(f"asymptotic rows need 2 <= n <= {MAX_DEGREE}")
         scaled = multiplier.closed_form_c2(n) * (n + 1) ** 2 / math.pi
         ratio = asymptotics.epanechnikov_ratio(n)
-        lines.append(
-            f"{n},{scaled:.17g},{ratio:.17g},{ratio / mu.three_mu_over_pi:.17g}"
-        )
+        cells = (scaled, ratio, ratio / mu.three_mu_over_pi)
+        lines.append(f"{n}," + ",".join([series._CELL % v for v in cells]))
     _print("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

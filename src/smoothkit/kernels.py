@@ -136,19 +136,16 @@ def full_weights(u: SymmetricKernel | GeneralKernel) -> np.ndarray:
 
 def write_kernel_csv(u: SymmetricKernel | GeneralKernel, path_or_file) -> None:
     """Write the kernel file format: header `k,weight`, one row per k in -n..n."""
-    rows = full_weights(u)
-    ks = range(-u.half_width, u.half_width + 1)
+    from .series import _CELL  # series imports this module
 
-    def _emit(fh):
-        fh.write("k,weight\n")
-        for k, w in zip(ks, rows):
-            fh.write(f"{k},{w:.17g}\n")
+    ks = range(-u.half_width, u.half_width + 1)
+    text = "k,weight\n" + "".join([f"{k},{_CELL % w}\n" for k, w in zip(ks, full_weights(u).tolist())])
 
     if hasattr(path_or_file, "write"):
-        _emit(path_or_file)
+        path_or_file.write(text)
     else:
         with open(path_or_file, "w", newline="") as fh:
-            _emit(fh)
+            fh.write(text)
 
 
 def read_kernel_csv(path: str | os.PathLike) -> GeneralKernel:

@@ -7,13 +7,14 @@ without edge artifacts.
 
 A data CSV is read through `Rows`, whose csv.reader loop defines its rows.
 The two passes of `CsvSource` read it in blocks of whole lines, each block
-one string from one read. A plain block (no quote, NUL, lone CR or
-over-long line, and the header's number of commas on every non-blank line)
-is split on commas in pass 1. In pass 2 its non-blank lines, with `%`
-escaped, each followed by a cell spec, form one template that a single `%`
-call fills with the block's values. That gives the rows, output bytes and
-error messages of the loop without running it row by row. From the first
-block that is not plain, the loop reads the rest of the file.
+one string from one read of 2^16 characters finished to the next line end.
+A plain block (no quote, NUL, lone CR or over-long line, and the header's
+number of commas on every non-blank line) is split on commas in pass 1. In
+pass 2 its non-blank lines, with `%` escaped, each followed by a cell
+spec, form one template that a single `%` call fills with the block's
+values. That gives the rows, output bytes and error messages of the loop
+without running it row by row. From the first block that is not plain, the
+loop reads the rest of the file.
 """
 
 from __future__ import annotations

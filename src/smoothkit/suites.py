@@ -25,31 +25,28 @@ class CheckResult:
     detail: str
 
 
-def _random_symmetric(rng, n: int) -> kernels.SymmetricKernel:
+def _draw(rng, size: int, floor: float, total) -> np.ndarray:
+    """rng.normal(size) divided by total(draw), drawn again while |total| <= floor."""
     while True:
-        w = rng.normal(size=n + 1)
-        total = w[0] + 2.0 * w[1:].sum()
-        if abs(total) > 0.1:
-            return kernels.SymmetricKernel(n, w / total)
+        w = rng.normal(size=size)
+        t = total(w)
+        if abs(t) > floor:
+            return w / t
+
+
+def _random_symmetric(rng, n: int) -> kernels.SymmetricKernel:
+    return kernels.SymmetricKernel(n, _draw(rng, n + 1, 0.1, lambda w: w[0] + 2.0 * w[1:].sum()))
 
 
 def _random_general(rng, n: int) -> kernels.GeneralKernel:
-    while True:
-        w = rng.normal(size=2 * n + 1)
-        total = w.sum()
-        if abs(total) > 0.1:
-            return kernels.GeneralKernel(n, w / total)
+    return kernels.GeneralKernel(n, _draw(rng, 2 * n + 1, 0.1, np.sum))
 
 
 def _random_unit_at_one(rng, d: int) -> ChebSeries:
-    while True:
-        c = rng.normal(size=d + 1)
-        total = c.sum()
-        if abs(total) > 0.05:
-            return ChebSeries(c / total)
+    return ChebSeries(_draw(rng, d + 1, 0.05, np.sum))
 
 
-def run_extremal_suite(n_max: int = 64, tol_scale: float = 1.0) -> list[CheckResult]:
+def run_extremal_suite(n_max: int, tol_scale: float) -> list[CheckResult]:
     checks: list[CheckResult] = []
     tol = 1e-9 * tol_scale
 
@@ -97,42 +94,25 @@ def run_extremal_suite(n_max: int = 64, tol_scale: float = 1.0) -> list[CheckRes
     return checks
 
 
-def run_multiplier_suite(n_max: int = 64, tol_scale: float = 1.0) -> list[CheckResult]:
+def run_multiplier_suite(n_max: int, tol_scale: float) -> list[CheckResult]:
     checks: list[CheckResult] = []
     cap = min(n_max, 64)
 
-    worst = 0.0
-    for n in range(cap + 1):
-        c2 = multiplier.closed_form_c2(n)
-        got = multiplier.operator_norm(kernels.optimal_kernel(n), 2).value
-        worst = max(worst, abs(got - c2) / c2)
-    checks.append(
-        CheckResult(
-            "optimal_matches_closed_form",
-            worst <= 1e-9 * tol_scale,
-            f"n <= {cap}, worst rel err {worst:.3g}",
-        )
+    c2 = multiplier.closed_form_c2
+    # name, kernel family, difference order, tolerance, detail label, error of the norm at n
+    sweeps = (
+        ("optimal_matches_closed_form", kernels.optimal_kernel, 2, 1e-9,
+         f"n <= {cap}, worst rel err", lambda n, got: abs(got - c2(n)) / c2(n)),
+        ("constant_first_order", kernels.constant_kernel, 1, 1e-10,
+         "worst abs err", lambda n, got: abs(got - 2.0 / (2 * n + 1))),
+        ("triangle_second_order", kernels.triangle_kernel, 2, 1e-9,
+         "worst abs err", lambda n, got: abs(got - 4.0 / (n + 1) ** 2)),
     )
-
-    worst = 0.0
-    for n in range(cap + 1):
-        got = multiplier.operator_norm(kernels.constant_kernel(n), 1).value
-        worst = max(worst, abs(got - 2.0 / (2 * n + 1)))
-    checks.append(
-        CheckResult(
-            "constant_first_order", worst <= 1e-10 * tol_scale, f"worst abs err {worst:.3g}"
-        )
-    )
-
-    worst = 0.0
-    for n in range(cap + 1):
-        got = multiplier.operator_norm(kernels.triangle_kernel(n), 2).value
-        worst = max(worst, abs(got - 4.0 / (n + 1) ** 2))
-    checks.append(
-        CheckResult(
-            "triangle_second_order", worst <= 1e-9 * tol_scale, f"worst abs err {worst:.3g}"
-        )
-    )
+    for name, family, m, tol, label, error in sweeps:
+        worst = 0.0
+        for n in range(cap + 1):
+            worst = max(worst, error(n, multiplier.operator_norm(family(n), m).value))
+        checks.append(CheckResult(name, worst <= tol * tol_scale, f"{label} {worst:.3g}"))
 
     rng = np.random.default_rng(911)
     dual_worst = 0.0
@@ -195,7 +175,7 @@ def run_multiplier_suite(n_max: int = 64, tol_scale: float = 1.0) -> list[CheckR
     return checks
 
 
-def run_asymptotics_suite(n_max: int = 64, tol_scale: float = 1.0) -> list[CheckResult]:
+def run_asymptotics_suite(n_max: int, tol_scale: float) -> list[CheckResult]:
     checks: list[CheckResult] = []
     mu = asymptotics.compute_mu()
 
@@ -232,7 +212,7 @@ def run_asymptotics_suite(n_max: int = 64, tol_scale: float = 1.0) -> list[Check
         beat_ok &= asymptotics.beat_bound_check(n, -1.0)
     checks.append(CheckResult("beat_bound", beat_ok, "n <= 64, 1000 points each"))
 
-    grid = np.linspace(0.0, 16.0, 1601)
+    grid = np.linspace(0.0, 16.0, 1601)  # alpha in [0, 16], shared by the two symbol checks
     safe = np.where(grid == 0.0, 1.0, grid)
     limit = np.where(grid == 0.0, 1.0, np.sin(safe) / safe) - np.cos(grid)
     sups = {
@@ -248,13 +228,12 @@ def run_asymptotics_suite(n_max: int = 64, tol_scale: float = 1.0) -> list[Check
         )
     )
 
-    alphas = np.linspace(0.0, 16.0, 1601)
     direct = (
-        (1.0 - np.cos(alphas / 16.0))
-        * clenshaw_eval(asymptotics.epanechnikov_series(16), np.cos(alphas / 16.0))
+        (1.0 - np.cos(grid / 16.0))
+        * clenshaw_eval(asymptotics.epanechnikov_series(16), np.cos(grid / 16.0))
         / 32.0
     )
-    two_path = float(np.max(np.abs(asymptotics.scaled_symbol(16, alphas) - direct)))
+    two_path = float(np.max(np.abs(asymptotics.scaled_symbol(16, grid) - direct)))
     checks.append(
         CheckResult("series_vs_trig_form", two_path <= 1e-9 * tol_scale, f"sup {two_path:.3g}")
     )

@@ -663,6 +663,52 @@ class TestVerifyCommand:
             "epanechnikov_ratio_reported",
         }
 
+    def test_report_lists_every_check_in_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "16")
+        assert code == 0
+        suites = json.loads(out)["suites"]
+        assert [(name, [c["name"] for c in s["checks"]]) for name, s in suites.items()] == [
+            (
+                "extremal",
+                ["alpha_monotone_decreasing", "equioscillation", "alternation_count", "random_challengers"],
+            ),
+            (
+                "multiplier",
+                [
+                    "optimal_matches_closed_form",
+                    "constant_first_order",
+                    "triangle_second_order",
+                    "dual_path_agreement",
+                    "sharp_lower_bound",
+                    "first_order_lower_bound",
+                    "symmetrization_contraction",
+                    "rayleigh_below_norm",
+                    "optimal_scaled_limit",
+                ],
+            ),
+            (
+                "asymptotics",
+                [
+                    "mu_constants",
+                    "mu_is_maximum",
+                    "difference_identity",
+                    "beat_bound",
+                    "scaled_symbol_convergence",
+                    "series_vs_trig_form",
+                    "interval_split_bound",
+                    "epanechnikov_ratio_reported",
+                ],
+            ),
+        ]
+        details = {c["name"]: c["detail"] for c in suites["multiplier"]["checks"]}
+        for name, prefix in (
+            ("optimal_matches_closed_form", "n <= 16, worst rel err "),
+            ("constant_first_order", "worst abs err "),
+            ("triangle_second_order", "worst abs err "),
+        ):
+            assert details[name].startswith(prefix)
+            assert 0.0 <= float(details[name][len(prefix):]) <= 1e-9
+
     @pytest.mark.parametrize("n_max", ["-5", "0", "4097"])
     def test_n_max_out_of_range_is_usage_error(self, capsys, n_max):
         code, out, err = run(capsys, "verify", "--suite", "all", "--n-max", n_max)
@@ -760,6 +806,18 @@ class TestDeterminism:
     def test_kernel_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, "kernel", "--type", "optimal", "--n", "9")
         code2, out2, _ = run(capsys, "kernel", "--type", "optimal", "--n", "9")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_verify_byte_identical(self, capsys):
+        code1, out1, _ = run(capsys, "verify", "--suite", "all", "--n-max", "8")
+        code2, out2, _ = run(capsys, "verify", "--suite", "all", "--n-max", "8")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_asympt_byte_identical(self, capsys):
+        code1, out1, _ = run(capsys, "asympt", "--n", "16", "64")
+        code2, out2, _ = run(capsys, "asympt", "--n", "16", "64")
         assert code1 == code2 == 0
         assert out1 == out2
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from smoothkit import series
-from smoothkit.kernels import GeneralKernel, constant_kernel, epanechnikov_kernel, triangle_kernel
+from smoothkit import cli, series
+from smoothkit.kernels import GeneralKernel, constant_kernel, epanechnikov_kernel, triangle_kernel, write_kernel_csv
 from smoothkit.multiplier import operator_norm
 from smoothkit.series import (
     BOUNDARY_MODES,
@@ -459,6 +459,19 @@ class TestCsv:
             assert error is None
             assert appended.encode() == b"x,y\r\n" + b"".join(c + b"," + c + b"\r\n" for c in cells)
             assert _written(source, "x", values, 0) == (path.read_bytes().decode(), None)
+        # so do a kernel file and the asympt table, each with "\n" line ends
+        weights = np.array([-0.0, 5e-324, 0.1, -1.0 / 3.0, 1.0 - 0.1 + 1.0 / 3.0])
+        kernel_cells = [cells[0], cells[1], cells[3], cells[4], b"1.2333333333333334"]
+        write_kernel_csv(GeneralKernel(2, weights), tmp_path / "kernel.csv")
+        assert (tmp_path / "kernel.csv").read_bytes() == b"k,weight\n" + b"".join(
+            b"%d,%s\n" % (k, c) for k, c in zip(range(-2, 3), kernel_cells)
+        )
+        assert cli.main(["asympt", "--n", "2", "64", "4096", "--output", str(tmp_path / "asympt.csv")]) == 0
+        header, *lines = (tmp_path / "asympt.csv").read_bytes().decode().split("\n")
+        assert header == "n,optimal_scaled,epanechnikov_ratio,epanechnikov_vs_limit"
+        assert len(lines) == 4 and lines[-1] == ""
+        for line in lines[:-1]:
+            assert all(c == series._CELL % float(c) for c in line.split(","))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
