@@ -39,14 +39,8 @@ class SymmetricKernel:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.half_width < 0 or w.size != self.half_width + 1:
-            raise ValueError("symmetric kernel needs half_width + 1 weights")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("kernel weights must be finite")
-        if abs(w[0] + 2.0 * float(w[1:].sum()) - 1.0) > 1e-9:
-            raise ValueError("kernel weights must sum to 1")
-        object.__setattr__(self, "weights", w)
+        mass = lambda w: w[0] + 2.0 * float(w[1:].sum())
+        _store_weights(self, self.half_width + 1, "symmetric kernel needs half_width + 1 weights", mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,14 +51,20 @@ class GeneralKernel:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.half_width < 0 or w.size != 2 * self.half_width + 1:
-            raise ValueError("general kernel needs 2 * half_width + 1 weights")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("kernel weights must be finite")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("kernel weights must sum to 1")
-        object.__setattr__(self, "weights", w)
+        mass = lambda w: float(w.sum())
+        _store_weights(self, 2 * self.half_width + 1, "general kernel needs 2 * half_width + 1 weights", mass)
+
+
+def _store_weights(kernel, size: int, size_error: str, mass) -> None:
+    """Set kernel.weights to its weights as floats: `size` of them, all finite, with mass(w) equal to 1."""
+    w = np.atleast_1d(np.asarray(kernel.weights, dtype=float))
+    if kernel.half_width < 0 or w.size != size:
+        raise ValueError(size_error)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("kernel weights must be finite")
+    if abs(mass(w) - 1.0) > 1e-9:
+        raise ValueError("kernel weights must sum to 1")
+    object.__setattr__(kernel, "weights", w)
 
 
 def constant_kernel(n: int) -> SymmetricKernel:

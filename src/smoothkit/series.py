@@ -6,15 +6,15 @@ with "valid" avoiding any extension so norm inequalities can be tested
 without edge artifacts.
 
 A data CSV is read through `Rows`, whose csv.reader loop defines its rows.
-The two passes of `CsvSource` read it in blocks of whole lines, each block
-one string from one read of 2^16 characters finished to the next line end.
-A plain block (no quote, NUL, lone CR or over-long line, and the header's
+Each pass of `CsvSource` reads plain blocks, then that loop. A block is one
+string from one read of 2^16 characters finished to the next line end. A
+plain block (no quote, NUL, lone CR or over-long line, and the header's
 number of commas on every non-blank line) is split on commas in pass 1. In
-pass 2 its non-blank lines, with `%` escaped, each followed by a cell
-spec, form one template that a single `%` call fills with the block's
-values. That gives the rows, output bytes and error messages of the loop
-without running it row by row. From the first block that is not plain, the
-loop reads the rest of the file.
+pass 2 its non-blank lines, with `%` escaped, each followed by a cell spec,
+form one template that a single `%` call fills with the block's values.
+That gives the rows, output bytes and error messages of the loop without
+running it row by row. The first block that is not plain, or in pass 1 a
+plain block with a bad cell, goes with the rest of the file to the loop.
 """
 
 from __future__ import annotations
@@ -194,18 +194,23 @@ class Rows:
         except csv.Error as exc:
             raise self._malformed(exc) from None
 
+    def resume(self, lines, line: int) -> None:
+        """Make the row loop read `lines`, the first of them file line `line`, then the rest of the file."""
+        self._base, self._reader = line - 1, csv.reader(itertools.chain(lines, self._text))
+
     def blocks(self):
-        """The data rows, a block of whole lines at a time.
+        """The plain blocks of data rows, each a run of whole lines.
 
         Each block is one read of `_CHARS` characters, completed by a
         readline when it ends inside a line. A plain block is yielded as
         (line, lines): its lines without line ends, blank ones included, the
         first of them file line `line`. Its rows are its non-blank lines
-        split on commas, as csv.reader reads them. The first block that is
-        not plain (a quote, a NUL, a lone CR, a line at the field limit, or
-        a non-blank line with another number of commas) ends the blocks:
-        (None, self) is yielded, and iterating this object then gives the
-        rows of the rest of the file.
+        split on commas, as csv.reader reads them; a block with none is
+        skipped. The first block that is not plain (a quote, a NUL, a lone
+        CR, a line at the field limit, or a non-blank line with another
+        number of commas) goes to `resume`, as does a plain block where the
+        caller stops (pass 1, at a bad cell). Iterating this object then
+        gives the rows of the rest of the file: none after the last block.
         """
         width, limit = len(self.fields), csv.field_size_limit()
         line = self.line_num + 1
@@ -219,11 +224,10 @@ class Rows:
             long = len(text) >= limit and max(map(len, io.StringIO(text, newline=""))) >= limit
             if odd or long or '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
                 # the text layer's newline="" splitting, which str.splitlines does not follow
-                rest = itertools.chain(io.StringIO(text, newline=""), self._text)
-                self._base, self._reader = line - 1, csv.reader(rest)
-                yield None, self
+                self.resume(io.StringIO(text, newline=""), line)
                 return
-            yield line, lines
+            if any(lines):  # pass 1 would take the empty join of a blank block for one bad cell
+                yield line, lines
             line += len(lines)
 
 
@@ -273,20 +277,24 @@ class CsvSource:
             j = _column_index(self.path, rows.fields, column)
             width, values = len(rows.fields), array.array("d")  # one buffer: freed block arrays stayed in RSS
             for line, part in rows.blocks():
-                if line is None:
-                    where = lambda: rows.line_num
-                else:
-                    start = len(values)
-                    try:
-                        values.extend(map(float, ",".join(filter(None, part)).split(",")[j::width]))
-                        if np.isfinite(np.frombuffer(values[start:])).all():
-                            continue
-                    except ValueError:
-                        pass
-                    del values[start:]  # a bad cell: csv.reader over this block names the first one
-                    reader = csv.reader(part)
-                    part, where = filter(None, reader), lambda: line - 1 + reader.line_num
-                values.extend(_finite(part, j, where, rows.path, column))
+                start = len(values)
+                try:
+                    values.extend(map(float, ",".join(filter(None, part)).split(",")[j::width]))
+                    if np.isfinite(np.frombuffer(values[start:])).all():
+                        continue
+                except ValueError:
+                    pass
+                del values[start:]  # a bad cell: the row loop, from this block on, names the first one
+                rows.resume(part, line)
+                break
+            for row in rows:  # what the blocks left
+                try:
+                    if math.isfinite(val := float(row[j])):
+                        values.append(val)
+                        continue
+                except ValueError:
+                    pass
+                raise CsvFormatError(f"{self.path} row {rows.line_num}: {column}={row[j]!r} is not a finite number")
         if not values:
             raise CsvFormatError(f"{self.path}: no data rows")
         return np.frombuffer(values)
@@ -297,7 +305,7 @@ class CsvSource:
             k = _column_index(self.path, rows.fields, column)
             return [row[k] for row in rows]
 
-    def write_column(self, out, column: str, values: np.ndarray, offset: int = 0) -> None:
+    def write_column(self, out, column: str, values: np.ndarray, offset: int) -> None:
         """Pass 2: write the file to the text stream `out` with `values` in `column`.
 
         Every column so named is overwritten, or one is appended if there
@@ -312,16 +320,7 @@ class CsvSource:
             slots = [j for j, name in enumerate(rows.fields) if name == column]
             writer.writerow(rows.fields if slots else rows.fields + [column])
             seen = 0  # data rows read
-            for line, part in rows.blocks():
-                if line is None:  # the rest of the file, as csv.reader reads it
-                    it = iter(part)
-                    seen += sum(1 for _ in itertools.islice(it, max(offset - seen, 0)))
-                    k = min(max(seen - offset, 0), values.size)
-                    cells = _cells(values[k:])
-                    writer.writerows(_filled(itertools.islice(it, values.size - k), cells, slots))
-                    # a cell left unused is a row missing from the file
-                    seen += values.size - k - sum(1 for _ in cells) + sum(1 for _ in it)
-                    break
+            for _, part in rows.blocks():
                 batch = list(filter(None, part))
                 lo, hi = (min(max(edge - seen, 0), len(batch)) for edge in (offset, offset + values.size))
                 chunk = values[seen + lo - offset : seen + hi - offset]
@@ -332,20 +331,15 @@ class CsvSource:
                     template = "\n".join(batch[lo:hi]).replace("%", "%%").replace("\n", _APPENDED) + _APPENDED
                     out.write(template % tuple(chunk.tolist()))
                 seen += len(batch)
+            it = iter(rows)  # what the blocks left, as csv.reader reads it
+            seen += sum(1 for _ in itertools.islice(it, max(offset - seen, 0)))
+            k = min(max(seen - offset, 0), values.size)
+            cells = _cells(values[k:])
+            writer.writerows(_filled(itertools.islice(it, values.size - k), cells, slots))
+            # a cell left unused is a row missing from the file
+            seen += values.size - k - sum(1 for _ in cells) + sum(1 for _ in it)
         if seen != values.size + 2 * offset:
             raise _changed(self.path)
-
-
-def _finite(rows, j: int, where, path, column: str):
-    """The cells row[j] as floats; CsvFormatError at the first that is not a finite number, on file line where()."""
-    for row in rows:
-        try:
-            val = float(row[j])
-        except ValueError:
-            val = math.nan
-        if not math.isfinite(val):
-            raise CsvFormatError(f"{path} row {where()}: {column}={row[j]!r} is not a finite number")
-        yield val
 
 
 def _cells(values: np.ndarray):

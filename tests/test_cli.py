@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothkit import asymptotics, cli, extremal, kernels, series
+from smoothkit import asymptotics, chebyshev, cli, extremal, kernels, multiplier, series, suites
 from smoothkit.kernels import constant_kernel, epanechnikov_kernel, read_kernel_csv, write_kernel_csv
 from smoothkit.multiplier import closed_form_c2, operator_norm
 from test_series import _values_by_rows, _write_by_rows
@@ -833,3 +833,65 @@ class TestDependencies:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout == "False\n"
+
+
+_X = np.linspace(-1.0, 0.5, 4)
+
+# documented ValueErrors of the library, each with the start of its message
+_LIBRARY_ERRORS = {
+    "polynomial_norm_of_general_kernel": (
+        lambda: multiplier.operator_norm_via_polynomial(kernels.GeneralKernel(0, [1.0])),
+        "polynomial form needs a symmetric kernel",
+    ),
+    "closed_form_c2_negative": (lambda: closed_form_c2(-1), "half width must be nonnegative"),
+    "wave_packet_empty": (lambda: multiplier.wave_packet(1.0, 1.0, 0), "length must be positive"),
+    "constant_kernel_negative": (lambda: constant_kernel(-1), "half width must be nonnegative"),
+    "triangle_kernel_negative": (lambda: kernels.triangle_kernel(-1), "half width must be nonnegative"),
+    "derivative_order_0": (
+        lambda: series.derivative(series.TimeSeries([1.0, 2.0]), 0),
+        "difference order must be at least 1",
+    ),
+    "transform_empty": (lambda: chebyshev.transform([]), "transform needs a non-empty 1-D sample vector"),
+    "transform_nan": (lambda: chebyshev.transform([math.nan]), "samples must be finite"),
+    "verify_identity_order_0": (lambda: asymptotics.verify_identity(0, _X), "half width must be at least 1"),
+    "verify_identity_below_minus_1": (
+        lambda: asymptotics.verify_identity(3, -1.5),
+        r"x must lie in \[-1, 1\)",
+    ),
+    "beat_bound_order_0": (lambda: asymptotics.beat_bound_check(0, _X), "order must be at least 1"),
+    "scaled_symbol_order_0": (lambda: asymptotics.scaled_symbol(0, _X), "half width must be at least 1"),
+    "unknown_suite": (lambda: suites.run_suite("bogus"), "unknown suite 'bogus'; choose from"),
+}
+
+# documented CLI errors: arguments, SMOOTHKIT_TOL_SCALE (or None), exit code, stderr message;
+# {header_only} is a kernel file with a header and no rows
+_NORM_POLY = ["norm", "--type", "optimal", "--n", "4", "--method", "polynomial"]
+_VERIFY = ["verify", "--suite", "extremal", "--n-max", "4"]
+_CLI_ERRORS = {
+    "type_without_n": (["norm", "--type", "constant"], None, 2, "--type needs --n"),
+    "polynomial_order_3": (
+        _NORM_POLY + ["--order", "3"], None, 2, "the polynomial method applies to --order 2 only"
+    ),
+    "tol_scale_0": (_VERIFY, "0", 2, f"{cli.TOL_SCALE_ENV} must be positive"),
+    "tol_scale_negative": (_VERIFY, "-1", 2, f"{cli.TOL_SCALE_ENV} must be positive"),
+    "no_kernel": (["norm"], None, 2, "a kernel source (--type/--n or --file) is required"),
+    "no_kernel_rows": (["norm", "--file", "{header_only}"], None, 3, "{header_only}: no kernel rows"),
+}
+
+
+class TestDocumentedErrors:
+    @pytest.mark.parametrize("case", list(_LIBRARY_ERRORS))
+    def test_library(self, case):
+        call, message = _LIBRARY_ERRORS[case]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
+
+    @pytest.mark.parametrize("case", list(_CLI_ERRORS))
+    def test_cli(self, capsys, monkeypatch, tmp_path, case):
+        argv, tol_scale, code, message = _CLI_ERRORS[case]
+        header_only = tmp_path / "k.csv"
+        header_only.write_text("k,weight\n")
+        if tol_scale is not None:
+            monkeypatch.setenv(cli.TOL_SCALE_ENV, tol_scale)
+        got = run(capsys, *(a.format(header_only=header_only) for a in argv))
+        assert got == (code, "", f"smoothkit: {message.format(header_only=header_only)}\n")

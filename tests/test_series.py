@@ -242,6 +242,8 @@ _PAST_FIRST_BLOCK = {
     "short_then_long_row": ["70000.5", "70001.5,a,b"],
     "whitespace_line": ["   "],
     "nan": ["nan,70000"],
+    # pass 1 hands the plain block with the nan to the row loop, which could read on into the quoted row
+    "nan_then_quoted_newline": ["nan,70000", "70000.5,a", '70001.5,"a\nb"'],
     "crlf": ["70000.5,a\r", "70001.5,b\r"],
     "no_line_end": None,
 }
@@ -425,6 +427,17 @@ class TestCsv:
             values = np.arange(_row_count(source) - 4) / 3
             for column in ("smoothed", "t"):
                 assert _written(source, column, values, 2) == _write_by_rows(source, column, values, 2)
+
+    def test_a_block_of_blank_lines_leaves_the_blocks_plain(self, tmp_path):
+        # the second block of 40 characters is blank lines only; no pass hands it to the row loop
+        path = tmp_path / "series.csv"
+        path.write_text("value,t\n0.5,0\n" + "\n" * 100 + "1.5,1\n")
+        handed_off = AssertionError("handed to the row loop")
+        with CsvSource(path) as source, mock.patch.object(series, "_CHARS", 40):
+            with mock.patch.object(series.Rows, "resume", side_effect=handed_off):
+                assert source.values("value").tolist() == [0.5, 1.5]
+                written = _written(source, "smoothed", np.array([2.5, 3.5]), 0)
+            assert written == _write_by_rows(source, "smoothed", np.array([2.5, 3.5]), 0)
 
     def test_header_is_the_first_non_blank_row(self, tmp_path):
         path = tmp_path / "series.csv"
