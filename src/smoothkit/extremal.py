@@ -143,7 +143,8 @@ def weighted_max(p: ChebSeries, points: int) -> tuple[float, float]:
 
     The maximum is located on `points` equally spaced theta (extrema of
     Chebyshev-like products equidistribute in theta, not x) and polished by
-    `gridsearch.refine_grid_max`.
+    `gridsearch.refine_grid_max`, so `points` must be at least
+    `gridsearch.sample_count(p.degree + 1)`, the product's degree.
     """
 
     def weighted(theta):

@@ -7,7 +7,7 @@ import numpy as np
 __all__ = ["polish", "refine_grid_max", "resolve_ties", "sample_count", "select_peaks"]
 
 _MAX_STEPS = 100
-_TOP = 3  # brackets always polished, best first
+_BAND = 1.0 - np.pi**2 / 512  # sampled peak over true peak on a `sample_count` grid, at worst
 # central-difference spacing over bracket width; much smaller spacings turn the
 # ~1e-9 relative rounding of 1 - cos(theta) near theta ~ 1/n into slope noise
 _SPACING = 2.5e-3
@@ -23,10 +23,13 @@ def sample_count(degree: int) -> int:
     phase 0 there is a real polynomial R <= M of degree D with its maximum M
     at the peak, so R' = 0 there and |R''| <= D^2 M (Bernstein's inequality,
     twice). The nearest node lies within h / 2 of the peak, where
-    |P| >= R >= M (1 - D^2 h^2 / 8) >= (1 - pi^2 / 512) M > 0.98 M. That is
-    inside `select_peaks`' 5% band, so the true peak's bracket is kept unless
-    more than 12 sampled peaks lie in that band (its cap). Past the cap, the
-    peaks ranked by samples that are up to 2% low may leave the highest out.
+    |P| >= R >= M (1 - D^2 h^2 / 8) >= (1 - pi^2 / 512) M > 0.98 M.
+
+    That factor is `select_peaks`' band. The true peak samples at least that
+    factor times M, hence times the best sample, so its bracket is kept; a
+    peak sampled below that line cannot hold the maximum. Only past the
+    band's cap of 12 peaks can the highest be left out. The same holds on
+    any denser grid.
     """
     return 8 * degree + 33
 
@@ -66,9 +69,11 @@ def select_peaks(samples) -> np.ndarray:
     """Indices of the sampled local maxima worth polishing, best first.
 
     Every local maximum of the samples (endpoints included) defines a
-    bracket. The `_TOP` best, plus any sampled within 5% of the best, are
-    kept, capped at 12 in total: symbols with many exactly tied peaks need
-    only one of them. Equal samples rank by index.
+    bracket. The best is kept, plus every peak sampled at least
+    1 - pi^2 / 512 times the best, at most 12 in rank order: symbols with
+    many exactly tied peaks need only one of them. Equal samples rank by
+    index. The samples must come from a `sample_count` grid or a denser one;
+    `sample_count` says why the true peak is then kept.
     """
     fs = np.asarray(samples, dtype=float)
     n = fs.size
@@ -81,7 +86,7 @@ def select_peaks(samples) -> np.ndarray:
         peaks = np.append(peaks, n - 1)
     order = peaks[np.lexsort((peaks, -fs[peaks]))]
     rank = np.arange(order.size)
-    keep = (rank < _TOP) | ((rank < 12) & (fs[order] >= 0.95 * fs[order[0]]))
+    keep = (rank < 12) & ((rank == 0) | (fs[order] >= _BAND * fs[order[0]]))
     return order[keep]
 
 
@@ -100,7 +105,8 @@ def resolve_ties(values, args) -> tuple[float, float]:
 def refine_grid_max(fn, grid) -> tuple[float, float]:
     """Global maximum of fn over the span of a dense grid; returns (value, argmax).
 
-    fn is value-only and vectorized. The brackets of `select_peaks` (one grid
+    fn is value-only and vectorized, and the grid is a `sample_count` grid
+    for fn or a denser one. The brackets of `select_peaks` (one grid
     step either side of the best samples) go through `polish` together, with
     slope and curvature from a three-point central stencil: one fn call per
     step, at most one spacing outside the grid's span. Newton steps below

@@ -5,7 +5,13 @@ import pytest
 
 from smoothkit import extremal, multiplier
 from smoothkit.gridsearch import refine_grid_max, resolve_ties, sample_count, select_peaks
-from smoothkit.kernels import optimal_kernel
+from smoothkit.kernels import SymmetricKernel, epanechnikov_kernel, full_weights, optimal_kernel
+from smoothkit.suites import _random_general as random_general
+from smoothkit.suites import _random_symmetric as random_symmetric
+
+# the worst ratio of sampled to true peak on a `sample_count` grid
+BAND = 1.0 - math.pi**2 / 512
+EPS = np.finfo(float).eps
 
 
 def two_bumps(scale, right_excess):
@@ -52,8 +58,23 @@ class TestPolish:
 
 class TestSelectPeaks:
     def test_best_first_with_endpoints(self):
-        fs = np.array([5.0, 1.0, 3.0, 1.0, 4.0, 2.0, 6.0])
+        fs = np.array([5.95, 1.0, 3.0, 1.0, 5.9, 2.0, 6.0])
         assert select_peaks(fs).tolist() == [6, 0, 4]
+
+    def test_band_edge(self):
+        # best 1, so the edge BAND * best is exactly BAND
+        fs = np.array([BAND, 0.0, 1.0, 0.0, np.nextafter(BAND, 0.0)])
+        assert select_peaks(fs).tolist() == [2, 0]
+
+    def test_negative_samples_keep_their_best_peak(self):
+        assert select_peaks(np.array([-3.0, -1.0, -2.0, -0.5, -4.0])).tolist() == [3]
+
+    def test_negative_function_maximum(self):
+        # peaks -2 at x = 1 and -1.5 at x = 3: the band keeps only the higher one
+        bumps = two_bumps(1.0, 0.5)
+        value, x = refine_grid_max(lambda x: bumps(x) - 3.0, np.linspace(0.0, 4.0, 401))
+        assert abs(value + 1.5) <= 1e-12
+        assert abs(x - 3.0) < 1e-6
 
     def test_near_ties_kept_up_to_twelve(self):
         xs = np.linspace(0.0, 40.0 * math.pi, 4001)
@@ -103,3 +124,41 @@ class TestSampleCount:
         xi = 2.0 * math.pi * np.arange(count // 2 + 1) / count
         assert theta.shape == xi.shape
         assert np.all(np.abs(theta - xi) <= 4 * np.spacing(xi))
+
+
+def _dense_floor(u, m):
+    """Least norm allowed by the symbol on an FFT grid 16 times denser than the rule's."""
+    count = 16 * 2 * (sample_count(u.half_width + m) - 1)
+    xi = 2.0 * math.pi * np.arange(count // 2 + 1) / count
+    w = full_weights(u)
+    dense = (2.0 * np.sin(0.5 * xi)) ** m * np.abs(np.fft.rfft(w, count))
+    # FFT rounding: a few eps of sum |w| per butterfly stage, times 2^m; it
+    # dominates where |u_hat| cancels far below sum |w| (Epanechnikov at xi = pi)
+    return (1.0 - 1e-12) * np.max(dense) - 2.0**m * np.abs(w).sum() * 8 * math.log2(count) * EPS
+
+
+class TestDenseGrid:
+    """The band never drops the peak holding the maximum: no sample of a grid 16 times
+    denser than the rule's lies above the polished norm."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 513])
+    def test_norms_reach_the_dense_grid_maximum(self, n):
+        rng = np.random.default_rng(1900 + n)
+        for u in (random_general(rng, n), random_symmetric(rng, n), epanechnikov_kernel(n)):
+            for m in (1, 2, 3):
+                floor = _dense_floor(u, m)
+                assert multiplier.operator_norm(u, m).value >= floor
+                if m == 2 and isinstance(u, SymmetricKernel):
+                    assert multiplier.operator_norm_via_polynomial(u).value >= floor
+
+    @pytest.mark.parametrize("n", [3, 7, 11])
+    def test_near_tied_peaks(self, n):
+        # the optimal kernel's n + 1 tied order-2 peaks, split by 1e-7 weight noise into
+        # near ties that the samples rank at random; n <= 11 keeps them under the cap of 12
+        rng = np.random.default_rng(1900 + n)
+        for _ in range(16):
+            w = optimal_kernel(n).weights * (1.0 + 1e-7 * rng.standard_normal(n + 1))
+            u = SymmetricKernel(n, w / (w[0] + 2.0 * w[1:].sum()))
+            floor = _dense_floor(u, 2)
+            assert multiplier.operator_norm(u, 2).value >= floor
+            assert multiplier.operator_norm_via_polynomial(u).value >= floor
