@@ -143,9 +143,11 @@ def weighted_max(p: ChebSeries, points: int) -> tuple[float, float]:
 
     The maximum is located on `points` equally spaced theta (extrema of
     Chebyshev-like products equidistribute in theta, not x) and polished by
-    `gridsearch.refine_grid_max`, so `points` must be at least
-    `gridsearch.sample_count(p.degree + 1)`, the product's degree.
+    `gridsearch.refine_grid_max`, whose `maximize` owns peaks, brackets and
+    ties. Fewer points than `gridsearch.sample_count(p.degree + 1)` raise ValueError.
     """
+    if points < sample_count(p.degree + 1):
+        raise ValueError(f"need at least {sample_count(p.degree + 1)} points for degree {p.degree}")
 
     def weighted(theta):
         x = np.cos(theta)

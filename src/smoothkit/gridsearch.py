@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["polish", "refine_grid_max", "resolve_ties", "sample_count", "select_peaks"]
+__all__ = ["maximize", "polish", "refine_grid_max", "resolve_ties", "sample_count", "select_peaks"]
 
 _MAX_STEPS = 100
 _BAND = 1.0 - np.pi**2 / 512  # sampled peak over true peak on a `sample_count` grid, at worst
@@ -72,21 +72,14 @@ def select_peaks(samples) -> np.ndarray:
     bracket. The best is kept, plus every peak sampled at least
     1 - pi^2 / 512 times the best, at most 12 in rank order: symbols with
     many exactly tied peaks need only one of them. Equal samples rank by
-    index. The samples must come from a `sample_count` grid or a denser one;
-    `sample_count` says why the true peak is then kept.
+    index. `sample_count` says why the true peak is kept.
     """
     fs = np.asarray(samples, dtype=float)
-    n = fs.size
-    if n < 2:
-        return np.arange(n)
-    peaks = np.nonzero((fs[1:-1] >= fs[:-2]) & (fs[1:-1] >= fs[2:]))[0] + 1
-    if fs[0] >= fs[1]:
-        peaks = np.insert(peaks, 0, 0)
-    if fs[n - 1] >= fs[n - 2]:
-        peaks = np.append(peaks, n - 1)
+    padded = np.concatenate(([-np.inf], fs, [-np.inf]))
+    peaks = np.nonzero((fs >= padded[:-2]) & (fs >= padded[2:]))[0]
     order = peaks[np.lexsort((peaks, -fs[peaks]))]
     rank = np.arange(order.size)
-    keep = (rank < 12) & ((rank == 0) | (fs[order] >= _BAND * fs[order[0]]))
+    keep = (rank < 12) & ((rank == 0) | (fs[order] >= _BAND * fs[order[:1]]))
     return order[keep]
 
 
@@ -95,38 +88,44 @@ def resolve_ties(values, args) -> tuple[float, float]:
 
     Values within 1e-12 relative of the largest count as tied, so the
     reported argument does not depend on roundoff in the polished values.
+    A non-finite largest value (from any nan or inf) comes back at inf.
     """
     best_val = float(np.max(values))
-    tie_band = 1e-12 * abs(best_val)
-    args = np.asarray(args, dtype=float)
-    return best_val, float(np.min(args[np.asarray(values) >= best_val - tie_band]))
+    tied = np.asarray(values) >= best_val - 1e-12 * abs(best_val)
+    return best_val, float(np.min(np.asarray(args, dtype=float)[tied], initial=np.inf))
+
+
+def maximize(grid, samples, derivs_at) -> tuple[float, float]:
+    """Global maximum from samples on a `sample_count` grid or a denser one; returns (value, argmax).
+
+    `select_peaks` picks nodes bracketed by their neighbours (one-sided at
+    the grid ends), `polish` runs all brackets on the function returned by
+    `derivs_at(nodes, lo, hi)` (lo, hi relative to the nodes) and `resolve_ties` picks the result.
+    """
+    xs = np.asarray(grid, dtype=float)
+    nodes = select_peaks(samples)
+    lo = xs[np.maximum(nodes - 1, 0)] - xs[nodes]
+    hi = xs[np.minimum(nodes + 1, xs.size - 1)] - xs[nodes]
+    values, t = polish(derivs_at(nodes, lo, hi), lo, hi)
+    return resolve_ties(values, xs[nodes] + t)
 
 
 def refine_grid_max(fn, grid) -> tuple[float, float]:
-    """Global maximum of fn over the span of a dense grid; returns (value, argmax).
+    """Global maximum of a value-only, vectorized fn by `maximize` over the grid; returns (value, argmax).
 
-    fn is value-only and vectorized, and the grid is a `sample_count` grid
-    for fn or a denser one. The brackets of `select_peaks` (one grid
-    step either side of the best samples) go through `polish` together, with
-    slope and curvature from a three-point central stencil: one fn call per
-    step, at most one spacing outside the grid's span. Newton steps below
-    1e-3 of the spacing, where stencil rounding takes over, count as
-    converged. `resolve_ties` picks the result, deterministic for a fixed grid.
+    A three-point central stencil gives slope and curvature: one fn call per
+    step, at most one spacing outside the grid. Newton steps below 1e-3 of
+    the spacing, where stencil rounding takes over, count as converged.
     """
     xs = np.asarray(grid, dtype=float)
-    nodes = select_peaks(np.asarray(fn(xs), dtype=float))
-    centers = xs[nodes]
-    lo = xs[np.maximum(nodes - 1, 0)] - centers
-    hi = xs[np.minimum(nodes + 1, xs.size - 1)] - centers
 
-    def stencil(live, t):
+    def stencil(nodes, lo, hi, live, t):
         d = _SPACING * (hi[live] - lo[live])
-        x = centers[live] + t
+        x = xs[nodes[live]] + t
         f_lo, f_mid, f_hi = np.reshape(fn(np.concatenate([x - d, x, x + d])), (3, -1))
         curv = f_hi - 2.0 * f_mid + f_lo
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(curv < 0, 0.5 * d * (f_lo - f_hi) / curv, np.nan)
         return f_mid, f_hi - f_lo, np.where(np.abs(step) < 1e-3 * d, 0.0, step)
 
-    values, t = polish(stencil, lo, hi)
-    return resolve_ties(values, centers + t)
+    return maximize(xs, fn(xs), lambda nodes, lo, hi: lambda live, t: stencil(nodes, lo, hi, live, t))

@@ -8,7 +8,7 @@ polished by batched Newton steps, so results are deterministic. For
 symmetric kernels and m = 2 the same quantity can be computed as
 2 max |(1-x) p_u(x)| over [-1, 1] by Clenshaw evaluation at the same
 frequencies, giving an independent cross-check path; both grids follow
-`gridsearch.sample_count` and both polish with the same Newton loop.
+`gridsearch.sample_count` and both maxima come from `gridsearch.maximize`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .chebyshev import clenshaw_eval
 from .extremal import alpha_closed_form, weighted_max
-from .gridsearch import polish, resolve_ties, sample_count, select_peaks
+from .gridsearch import maximize, sample_count
 from .kernels import GeneralKernel, SymmetricKernel, full_weights, to_polynomial
 from .series import TimeSeries, l2_norm
 
@@ -74,10 +74,11 @@ def operator_norm(u: SymmetricKernel | GeneralKernel, m: int) -> MultiplierBound
     sampled at `gridsearch.sample_count(n + m)` frequencies on [0, pi]: one
     real FFT of the weights zero-padded to twice that count less two, the
     half grid of which suffices because real weights make the symbol even.
-    The best brackets are polished together by safeguarded Newton to 1e-12 in
-    xi. Values tied within 1e-12 relative resolve to the smallest frequency.
-    Orders run from 1 to MAX_ORDER; a maximum past the largest double raises
-    ValueError.
+    `gridsearch.maximize` owns peak selection, brackets and ties (to the
+    smallest frequency); `_polish` supplies the derivatives that polish to
+    1e-12 in xi. The argmax is clipped to pi, which the last node can pass
+    by an ulp. Orders run from 1 to MAX_ORDER; a maximum past the largest
+    double raises ValueError.
     """
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"difference order must be in [1, {MAX_ORDER}]")
@@ -86,19 +87,18 @@ def operator_norm(u: SymmetricKernel | GeneralKernel, m: int) -> MultiplierBound
     xi = np.arange(count // 2 + 1) * (2.0 * math.pi / count)
     with np.errstate(over="ignore", invalid="ignore"):
         samples = (2.0 * np.sin(0.5 * xi)) ** m * np.abs(np.fft.rfft(w, count))
-        values, argmaxes = _polish(w, m, count, select_peaks(samples))
-    if not np.all(np.isfinite(values)):
+        value, argmax = maximize(xi, samples, lambda nodes, lo, hi: _polish(w, m, count, nodes))
+    if not math.isfinite(value):
         raise ValueError(f"the order-{m} symbol of this kernel overflows double precision")
-    value, argmax = resolve_ties(values, argmaxes)
-    return MultiplierBound(value, argmax, m, "torus_grid")
+    return MultiplierBound(value, min(argmax, math.pi), m, "torus_grid")
 
 
 def _polish(w: np.ndarray, m: int, count: int, nodes: np.ndarray):
-    """Maximize the symbol near each grid node, all brackets at once.
+    """The symbol's derivative function for `gridsearch.polish` at the given grid nodes.
 
-    Analytic derivatives of g = (2 - 2 cos xi)^m |u_hat|^2 drive
-    `gridsearch.polish` in brackets of one grid step either side, clipped to
-    [0, pi]. Returns the symbol values and the frequencies they were taken at.
+    It only supplies the values, slopes and Newton steps of
+    g = (2 - 2 cos xi)^m |u_hat|^2; `gridsearch.maximize` picks the nodes,
+    brackets them and resolves ties.
 
     A frequency is written xi = 2 pi j / count + t with j the node: the phase
     of exp(-i k xi) is reduced as (k j) mod count in integers, and every sum
@@ -138,8 +138,7 @@ def _polish(w: np.ndarray, m: int, count: int, nodes: np.ndarray):
             step = np.where(g2 < 0, -(s * g1 / g2), np.nan)
         return (2.0 * sin_half) ** m * np.abs(u0), g1, step
 
-    values, t = polish(derivs, np.where(nodes > 0, -h, 0.0), np.where(nodes < count // 2, h, 0.0))
-    return values, np.clip(nodes * h + t, 0.0, math.pi)
+    return derivs
 
 
 def operator_norm_via_polynomial(u: SymmetricKernel) -> MultiplierBound:

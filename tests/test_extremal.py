@@ -14,6 +14,7 @@ from smoothkit.extremal import (
     minimax_lower_bound_check,
     verify_equioscillation,
 )
+from smoothkit.gridsearch import sample_count
 from smoothkit.suites import _random_unit_at_one
 
 
@@ -217,3 +218,13 @@ class TestLowerBound:
         for d in (1, 2, 3, 5, 8):
             for _ in range(200):
                 assert minimax_lower_bound_check(_random_unit_at_one(rng, d), d).passed
+
+
+class TestWeightedMax:
+    def test_rejects_grids_below_the_sampling_rule(self):
+        p = ChebSeries([0.5, 0.5])
+        points = sample_count(p.degree + 1)
+        value, _ = extremal.weighted_max(p, points)
+        assert value == pytest.approx(0.5, rel=1e-12)
+        with pytest.raises(ValueError, match=f"need at least {points} points for degree 1"):
+            extremal.weighted_max(p, points - 1)

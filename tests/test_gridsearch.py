@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smoothkit import extremal, multiplier
-from smoothkit.gridsearch import refine_grid_max, resolve_ties, sample_count, select_peaks
+from smoothkit.gridsearch import maximize, refine_grid_max, resolve_ties, sample_count, select_peaks
 from smoothkit.kernels import SymmetricKernel, epanechnikov_kernel, full_weights, optimal_kernel
 from smoothkit.suites import _random_general as random_general
 from smoothkit.suites import _random_symmetric as random_symmetric
@@ -41,6 +41,35 @@ class TestTieRule:
     def test_resolve_ties_band(self):
         assert resolve_ties([1e-7, 1e-7 * (1 + 1e-13)], [2.0, 1.0]) == (1e-7 * (1 + 1e-13), 1.0)
         assert resolve_ties([1e-7 * (1 + 1e-11), 1e-7], [2.0, 1.0]) == (1e-7 * (1 + 1e-11), 2.0)
+
+    def test_resolve_ties_non_finite(self):
+        assert resolve_ties([1.0, np.inf], [2.0, 1.0]) == (np.inf, np.inf)
+        value, arg = resolve_ties([np.nan, 1.0], [2.0, 1.0])
+        assert math.isnan(value) and arg == np.inf
+
+
+class TestMaximize:
+    def test_brackets_reach_the_neighbouring_nodes(self):
+        # cos on an uneven grid over [0, 2.5 pi]: peaks at 0 (one-sided bracket) and near 2 pi
+        xs = 2.5 * math.pi * np.linspace(0.0, 1.0, 26) ** 1.2
+        seen = {}
+
+        def derivs_at(nodes, lo, hi):
+            seen.update(nodes=nodes, lo=lo, hi=hi)
+            centers = xs[nodes]
+
+            def derivs(live, t):
+                x = centers[live] + t
+                return np.cos(x), -np.sin(x), np.where(np.cos(x) > 0, -np.tan(x), np.nan)
+
+            return derivs
+
+        value, x = maximize(xs, np.cos(xs), derivs_at)
+        j = int(np.argmin(np.abs(xs - 2.0 * math.pi)))
+        assert seen["nodes"].tolist() == [0, j]
+        assert seen["lo"].tolist() == [0.0, xs[j - 1] - xs[j]]
+        assert seen["hi"].tolist() == [xs[1], xs[j + 1] - xs[j]]
+        assert (value, x) == (1.0, 0.0)
 
 
 class TestPolish:

@@ -107,6 +107,21 @@ class TestOperatorNorm:
         with pytest.raises(ValueError, match="order-1023 symbol of this kernel overflows double precision"):
             operator_norm(u, 1023)
 
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_overflowing_weights_are_an_error(self, m):
+        # |u_hat(pi)| = 3.4e308 + 1 at every order: the polished values are inf,
+        # which must raise the documented error, not fail in tie resolution
+        u = GeneralKernel(1, [1.7e308, -1.7e308, 1.0])
+        with pytest.raises(ValueError, match=f"order-{m} symbol of this kernel overflows double precision"):
+            operator_norm(u, m)
+
+    @pytest.mark.parametrize("u, m", [(triangle_kernel(18), 3), (constant_kernel(19), 2)])
+    def test_argmax_clipped_to_pi(self, u, m):
+        # the last node of these torus grids is 3.1415926535897936, an ulp past pi
+        count = 2 * (8 * (u.half_width + m) + 32)
+        assert (count // 2) * (2.0 * math.pi / count) > math.pi
+        assert operator_norm(u, m).argmax_xi == math.pi
+
 
 class TestLargeAndGeneral:
     @pytest.mark.parametrize("n", [2048, 4096])
