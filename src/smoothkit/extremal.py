@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval, transform
-from .gridsearch import refine_grid_max, sample_count
+from .gridsearch import fft_length, refine_grid_max, sample_count
 
 __all__ = [
     "ExtremalSolution",
@@ -68,6 +68,16 @@ def alpha_closed_form(d: int) -> float:
     return 2.0 * math.sin(half) / (N * (1.0 + math.cos(half)))
 
 
+def _one_minus_x_times(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of (1 - x) p from those of p."""
+    # x T_0 = T_1 and x T_k = (T_{k+1} + T_{k-1}) / 2
+    xp = np.zeros(c.size + 1)
+    xp[1] = c[0]
+    xp[2:] += 0.5 * c[1:]
+    xp[: c.size - 1] += 0.5 * c[1:]
+    return np.append(c, 0.0) - xp
+
+
 def build_solution(d: int) -> ExtremalSolution:
     """Construct the degree-d minimax solution with its alternation data.
 
@@ -107,12 +117,7 @@ def build_solution(d: int) -> ExtremalSolution:
     at_one = float(np.sum(S.coeffs))
     if not abs(at_one - 1.0) <= tol:
         raise ArithmeticError(f"S(1) = {at_one!r} is not 1 within {tol:.3g}")
-    # x T_0 = T_1 and x T_k = (T_{k+1} + T_{k-1}) / 2
-    xS = np.zeros(N + 1)
-    xS[1] = S.coeffs[0]
-    xS[2:] += 0.5 * S.coeffs[1:]
-    xS[: N - 1] += 0.5 * S.coeffs[1:]
-    q = ChebSeries(np.append(S.coeffs, 0.0) - xS)
+    q = ChebSeries(_one_minus_x_times(S.coeffs))
     scale = 0.5 * (1.0 + math.cos(math.pi / (2 * N)))
     # L^{-1}(cos(i pi / N)) for i = 1..N; cos(pi) = -1 makes y_N = -1 exact
     y = (np.cos(np.arange(1, N + 1) * (math.pi / N)) + 1.0) / scale - 1.0
@@ -123,17 +128,26 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     """Check the alternation values of q and the grid maximum of |(1-x) S(x)|.
 
     Failures are reported, not raised: residuals hold |q(y_i) + alpha (-1)^i|
-    per point, and the report passes iff all residuals are within tol and the
-    grid maximum does not exceed alpha (1 + 1e-9).
+    per point (Clenshaw on sol.q), and the report passes iff all residuals are
+    within tol and the grid maximum does not exceed alpha (1 + 1e-9).
+
+    The grid is theta_j = 2 pi j / L, j = 0..L/2, with L = `gridsearch.fft_length`
+    of 2 (10 N - 1): at least 10 N points from 0 to pi, no wider apart than
+    pi / (10 N - 1). Since (1 - cos theta) S(cos theta) = sum_k c_k cos(k theta)
+    for the coefficients c of (1 - x) S, formed here from sol.S, the grid
+    values are the real part of one zero-padded rfft of c. The transform is of
+    that product and not of S: S's coefficients are O(1/N) and cancel to about
+    alpha/2 near x = -1, so any evaluation from them is off by about
+    eps sum |S_k|, some 1e-9 alpha at N = 4097. Those of (1 - x) S are
+    O(alpha): at N = 4097 the rfft is within 1e-15 alpha of a longdouble sum.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     N = sol.degree + 1
     signs = (-1.0) ** np.arange(1, N + 1)
     residuals = np.abs(clenshaw_eval(sol.q, sol.alternation_points) + sol.alpha * signs)
-    theta = np.linspace(0.0, math.pi, 10 * N)
-    x = np.cos(theta)
-    grid_max = float(np.max(np.abs((1.0 - x) * clenshaw_eval(sol.S, x))))
+    grid = np.fft.rfft(_one_minus_x_times(sol.S.coeffs), fft_length(2 * (10 * N - 1))).real
+    grid_max = float(np.max(np.abs(grid)))
     passed = bool(np.all(residuals <= tol)) and grid_max <= sol.alpha * (1.0 + 1e-9)
     return EquioscillationReport(passed, residuals, grid_max, sol.alpha)
 

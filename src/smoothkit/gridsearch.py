@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["maximize", "polish", "refine_grid_max", "resolve_ties", "sample_count", "select_peaks"]
+__all__ = [
+    "fft_length",
+    "maximize",
+    "polish",
+    "refine_grid_max",
+    "resolve_ties",
+    "sample_count",
+    "select_peaks",
+]
 
 _MAX_STEPS = 100
 _BAND = 1.0 - np.pi**2 / 512  # sampled peak over true peak on a `sample_count` grid, at worst
@@ -32,6 +40,29 @@ def sample_count(degree: int) -> int:
     any denser grid.
     """
     return 8 * degree + 33
+
+
+def fft_length(n: int) -> int:
+    """Smallest even 5-smooth integer (2^a 3^b 5^c, a >= 1) that is >= n.
+
+    numpy's FFT is fast on such lengths; a length with a large prime factor
+    falls back to Bluestein's algorithm, slower and with a larger transient
+    allocation.
+    """
+    best = 2
+    while best < n:
+        best *= 2
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            m = 2 * odd
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def polish(derivs, lo, hi) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from smoothkit.extremal import (
     minimax_lower_bound_check,
     verify_equioscillation,
 )
-from smoothkit.gridsearch import sample_count
+from smoothkit.gridsearch import fft_length, sample_count
 from smoothkit.suites import _random_unit_at_one
 
 
@@ -38,8 +38,8 @@ class TestAlpha:
 
     def test_degree_five(self):
         expected = 2 * math.sin(math.pi / 12) / (6 * (1 + math.cos(math.pi / 12)))
-        assert alpha_closed_form(5) == pytest.approx(expected, rel=1e-15)
-        assert alpha_closed_form(5) == pytest.approx(0.04388416586246528, rel=1e-12)
+        assert alpha_closed_form(5) == pytest.approx(expected, rel=1e-15, abs=0)
+        assert alpha_closed_form(5) == pytest.approx(0.04388416586246528, rel=1e-12, abs=0)
 
     def test_monotone_decreasing(self):
         alphas = [alpha_closed_form(d) for d in range(65)]
@@ -186,6 +186,67 @@ class TestEquioscillation:
             vals = clenshaw_eval(build_solution(d).q, np.cos(theta))
             changes = int(np.sum(np.signbit(vals[:-1]) != np.signbit(vals[1:])))
             assert changes == N - 1
+
+
+class TestGuardGrid:
+    """The certificate's guard: one rfft of (1 - x) S on theta_j = 2 pi j / L, j = 0..L/2."""
+
+    @staticmethod
+    def guard_length(N):
+        return fft_length(2 * (10 * N - 1))
+
+    @staticmethod
+    def guard(sol, monkeypatch):
+        """verify_equioscillation's report and its rfft calls as (length, output)."""
+        calls = []
+        rfft = np.fft.rfft
+
+        def spy(a, n=None, *args, **kwargs):
+            out = rfft(a, n, *args, **kwargs)
+            calls.append((n, out))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "rfft", spy)
+            report = verify_equioscillation(sol, 1e-9)
+        return report, calls
+
+    @pytest.mark.parametrize("d", [64, 512, 1024])
+    def test_grid_values_match_longdouble_cosine_sum(self, d, monkeypatch):
+        sol = build_solution(d)
+        L = self.guard_length(d + 1)
+        # q(cos theta_j) = sum_k c_k cos(2 pi j k / L), phases reduced exactly in integers
+        table = np.cos(np.arange(L, dtype=np.longdouble) * (2 * np.pi / np.longdouble(L)))
+        k = np.arange(sol.q.coeffs.size)
+        c = sol.q.coeffs.astype(np.longdouble)
+        ref = np.concatenate(
+            [table[np.outer(j, k) % L] @ c for j in np.array_split(np.arange(L // 2 + 1), 16)]
+        )
+        report, [(n, values)] = self.guard(sol, monkeypatch)
+        assert n == L
+        assert float(np.max(np.abs(values.real - ref))) <= 1e-11 * sol.alpha
+        assert abs(report.grid_max - float(np.max(np.abs(ref)))) <= 1e-11 * sol.alpha
+
+    def test_length_is_smallest_even_5_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for L in range(1, 5001):
+            brute = next(m for m in range(L + L % 2, 2 * L + 3, 2) if smooth(m))
+            assert fft_length(L) == brute, L
+
+    def test_grid_is_no_coarser_than_10N_points(self):
+        for N in range(1, 4098):
+            L = self.guard_length(N)
+            assert L % 2 == 0 and L // 2 + 1 >= 10 * N, N
+
+    @pytest.mark.parametrize("d", [0, 7, 4096])
+    def test_guard_is_one_rfft_of_that_length(self, d, monkeypatch):
+        _, calls = self.guard(build_solution(d), monkeypatch)
+        assert [n for n, _ in calls] == [self.guard_length(d + 1)]
 
 
 class TestLowerBound:

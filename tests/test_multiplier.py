@@ -188,7 +188,7 @@ class TestPolynomialPath:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_optimal_matches_closed_form(self, n):
         got = operator_norm_via_polynomial(optimal_kernel(n)).value
-        assert got == pytest.approx(closed_form_c2(n), rel=1e-12)
+        assert got == pytest.approx(closed_form_c2(n), rel=1e-12, abs=0)
 
     def test_argmax_matches_torus(self):
         u = triangle_kernel(5)
@@ -218,7 +218,7 @@ class TestPolynomialPath:
         assert abs(poly - torus) <= 1e-9 * torus
         if kind == "optimal":
             for value in (torus, poly):
-                assert value == pytest.approx(closed_form_c2(n), rel=1e-9)
+                assert value == pytest.approx(closed_form_c2(n), rel=1e-9, abs=0)
 
 
 class TestClosedForm:
