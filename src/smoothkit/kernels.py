@@ -138,8 +138,11 @@ def write_kernel_csv(u: SymmetricKernel | GeneralKernel, path_or_file) -> None:
     """Write the kernel file format: header `k,weight`, one row per k in -n..n."""
     from .series import _CELL  # series imports this module
 
+    cells = [_CELL % w for w in u.weights.tolist()]
+    if isinstance(u, SymmetricKernel):
+        cells = cells[:0:-1] + cells  # each distinct weight formatted once, mirrored for k < 0
     ks = range(-u.half_width, u.half_width + 1)
-    text = "k,weight\n" + "".join([f"{k},{_CELL % w}\n" for k, w in zip(ks, full_weights(u).tolist())])
+    text = "k,weight\n" + "".join([f"{k},{cell}\n" for k, cell in zip(ks, cells)])
 
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)

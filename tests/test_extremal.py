@@ -188,6 +188,55 @@ class TestEquioscillation:
             assert changes == N - 1
 
 
+class TestResiduals:
+    """The residuals |q(y_i) + alpha (-1)^i|, from a Taylor model of rffts of sol.q."""
+
+    @staticmethod
+    def longdouble_residuals(sol):
+        c = sol.q.coeffs.astype(np.longdouble)
+        k = np.arange(c.size, dtype=np.longdouble)
+        theta = np.arccos(sol.alternation_points.astype(np.longdouble))
+        q = np.concatenate([np.cos(np.outer(t, k)) @ c for t in np.array_split(theta, theta.size // 256 + 1)])
+        return np.abs(q + sol.alpha * (-1.0) ** np.arange(1, theta.size + 1))
+
+    @pytest.mark.parametrize("d", [0, 7, 64, 1024, 2048])
+    def test_match_longdouble_cosine_sum(self, d):
+        # Clenshaw on sol.q is off by 2.0e-12 alpha at d = 2048
+        sol = build_solution(d)
+        report = verify_equioscillation(sol, 1e-9)
+        ref = self.longdouble_residuals(sol)
+        assert float(np.max(np.abs(report.residuals - ref))) <= 1e-13 * sol.alpha
+
+    def test_perturbed_q_fails_through_the_residuals(self):
+        sol = build_solution(64)
+        c = sol.q.coeffs.copy()
+        c[3] += 1e-8
+        report = verify_equioscillation(dataclasses.replace(sol, q=ChebSeries(c)), 1e-9)
+        assert not report.passed
+        assert report.grid_max == verify_equioscillation(sol, 1e-9).grid_max <= sol.alpha * (1 + 1e-9)
+        assert float(np.max(report.residuals)) > 1e-9
+
+    def test_no_clenshaw(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(extremal, "clenshaw_eval", lambda *a: calls.append(a) or clenshaw_eval(*a))
+        assert verify_equioscillation(build_solution(4096), 1e-9).residuals.size == 4097
+        assert calls == []
+
+    def test_rejects_points_outside_the_clamp_band(self):
+        sol = build_solution(3)
+        y = sol.alternation_points.copy()
+        y[-1] = -1.0 - 1e-11
+        with pytest.raises(ValueError, match="clamp band"):
+            verify_equioscillation(dataclasses.replace(sol, alternation_points=y), 1e-9)
+        y[-1] = -1.0 - 1e-13
+        assert verify_equioscillation(dataclasses.replace(sol, alternation_points=y), 1e-9).passed
+
+    def test_taylor_terms_are_the_least_below_one_ulp(self):
+        J = extremal._TAYLOR_TERMS
+        tail = lambda j: (math.pi / 4) ** j / math.factorial(j) * math.exp(math.pi / 4)
+        assert tail(J) < 2.0**-53 <= tail(J - 1)
+
+
 class TestGuardGrid:
     """The certificate's guard: one rfft of (1 - x) S on theta_j = 2 pi j / L, j = 0..L/2."""
 
@@ -197,13 +246,18 @@ class TestGuardGrid:
 
     @staticmethod
     def guard(sol, monkeypatch):
-        """verify_equioscillation's report and its rfft calls as (length, output)."""
+        """verify_equioscillation's report and its rfft calls at the guard length as (length, output).
+
+        The residuals' rffts, at fft_length(4 (N + 1)), always shorter, are left out.
+        """
+        L = TestGuardGrid.guard_length(sol.degree + 1)
         calls = []
         rfft = np.fft.rfft
 
         def spy(a, n=None, *args, **kwargs):
             out = rfft(a, n, *args, **kwargs)
-            calls.append((n, out))
+            if n == L:
+                calls.append((n, out))
             return out
 
         with monkeypatch.context() as patch:
@@ -242,6 +296,8 @@ class TestGuardGrid:
         for N in range(1, 4098):
             L = self.guard_length(N)
             assert L % 2 == 0 and L // 2 + 1 >= 10 * N, N
+            # the spy in `guard` tells the guard from the residuals by length
+            assert fft_length(4 * (N + 1)) < L, N
 
     @pytest.mark.parametrize("d", [0, 7, 4096])
     def test_guard_is_one_rfft_of_that_length(self, d, monkeypatch):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -23,6 +24,12 @@ from smoothkit.kernels import (
     triangle_kernel,
     write_kernel_csv,
 )
+
+
+def _tilted_kernel(n: int) -> GeneralKernel:
+    k = np.arange(-n, n + 1)
+    w = full_weights(epanechnikov_kernel(n)) * np.exp(0.01 * k)
+    return GeneralKernel(n, w / w.sum())
 
 
 class TestNamedKernels:
@@ -189,6 +196,20 @@ class TestKernelFiles:
         back = read_kernel_csv(path)
         assert isinstance(back, GeneralKernel)
         assert_allclose(back.weights, u.weights, rtol=0, atol=0)
+
+    @pytest.mark.parametrize(
+        "make, n",
+        [(optimal_kernel, 0)]
+        + [(f, n) for f in (optimal_kernel, triangle_kernel, epanechnikov_kernel) for n in (1, 64, 4096)]
+        + [(_tilted_kernel, 64)],
+    )
+    def test_text_matches_row_by_row_formatting(self, make, n):
+        u = make(n)
+        rows = zip(range(-n, n + 1), full_weights(u).tolist())
+        expected = "k,weight\n" + "".join(f"{k},{w:.17g}\n" for k, w in rows)
+        buf = io.StringIO()
+        write_kernel_csv(u, buf)
+        assert buf.getvalue() == expected
 
     def test_asymmetric_rejected_when_symmetric_required(self, tmp_path, capsys):
         # the reader takes any normalized kernel; the polynomial norm is the
