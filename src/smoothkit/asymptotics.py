@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import ChebSeries, clenshaw_eval
-from .gridsearch import refine_grid_max
+from .gridsearch import maximize, sample_count
 from .kernels import epanechnikov_kernel
 from .multiplier import operator_norm
 
@@ -49,14 +49,43 @@ def sinc_cos_gap(alpha):
 
 
 def compute_mu() -> MuResult:
-    """Maximize sinc_cos_gap over [0, 16] on a 10^5-point grid plus refinement.
+    """Maximize sinc_cos_gap over [0, 16] on a `gridsearch.sample_count(6)` grid.
 
-    The argmax is located numerically each time, never hard-coded; ties
-    resolve to the smallest alpha.
+    With theta = pi a / 16, f(a) = sin(a)/a - cos(a) has exponential type
+    16 / pi <= 6 in theta, so `sample_count(ceil(16 / pi))` = 81 equally
+    spaced points bracket its maximum (the `sample_count` docstring says
+    why). `gridsearch.maximize` picks the peaks, brackets and ties (to the
+    smallest alpha) and polishes by Newton on g = f^2 / 2 with the closed
+    forms
+
+        f'  = cos a / a - sin a / a^2 + sin a
+        f'' = -sin a / a - 2 cos a / a^2 + 2 sin a / a^3 + cos a,
+
+    g' = f f' and g'' = f'^2 + f f''. They are singular at a = 0, which the
+    polish never reaches: f rises strictly from f(0) = 0 to its first
+    maximum near 2.74, so no node below 2.6 is a sampled peak, and each
+    bracket, one grid step (0.2) either side of a kept node, stays in
+    [2.4, 16]. The argmax is located each time, never hard-coded.
     """
-    grid = np.linspace(0.0, 16.0, 100_001)
-    mu, alpha_star = refine_grid_max(sinc_cos_gap, grid)
+    grid = np.linspace(0.0, 16.0, sample_count(math.ceil(16.0 / math.pi)))
+
+    def derivs(nodes, live, t):
+        f, f1, f2 = _gap_derivs(grid[nodes[live]] + t)
+        g1, g2 = f * f1, f1 * f1 + f * f2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(g2 < 0, -g1 / g2, np.nan)
+        return np.abs(f), g1, step
+
+    mu, alpha_star = maximize(
+        grid, sinc_cos_gap(grid), lambda nodes, lo, hi: lambda live, t: derivs(nodes, live, t)
+    )
     return MuResult(mu, alpha_star, 3.0 * mu / math.pi)
+
+
+def _gap_derivs(a):
+    """sin(a)/a - cos(a) and its first two derivatives at a != 0, by the closed forms."""
+    s, c = np.sin(a), np.cos(a)
+    return s / a - c, c / a - s / a**2 + s, -s / a - 2.0 * c / a**2 + 2.0 * s / a**3 + c
 
 
 def epanechnikov_series(n: int) -> ChebSeries:

@@ -38,6 +38,17 @@ def sample_count(degree: int) -> int:
     peak sampled below that line cannot hold the maximum. Only past the
     band's cap of 12 peaks can the highest be left out. The same holds on
     any denser grid.
+
+    The same count serves a bounded entire function of exponential type
+    sigma sampled on [0, pi], with D >= sigma: Bernstein's inequality holds
+    for such functions with the bound sup |f| over the real line (Boas,
+    Entire Functions, 1954, ch. 11), so the argument above goes through
+    with that sup as M. `asymptotics.compute_mu` uses this for
+    f(a) = sin(a)/a - cos(a) on [0, 16]: f is entire of type 1 and even,
+    and |f(a)| <= sqrt(1 + 1/a^2) < 1 + 1/16 <= mu for |a| >= 16 (the
+    `mu_constants` check asserts the last inequality), so its sup over the
+    real line is mu, its maximum on [0, 16]. In theta = pi a / 16 it has
+    type 16 / pi <= 6, which gives D = 6.
     """
     return 8 * degree + 33
 

@@ -8,6 +8,7 @@ a property of the type rather than of the data.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -135,14 +136,21 @@ def full_weights(u: SymmetricKernel | GeneralKernel) -> np.ndarray:
 
 
 def write_kernel_csv(u: SymmetricKernel | GeneralKernel, path_or_file) -> None:
-    """Write the kernel file format: header `k,weight`, one row per k in -n..n."""
+    """Write the kernel file format: header `k,weight`, one row per k in -n..n.
+
+    The rows come from one `%` call on a repeated `k,weight` template: the
+    k >= 0 rows of a SymmetricKernel, whose k < 0 rows are those mirrored
+    with a leading "-", or all 2n + 1 rows of a GeneralKernel.
+    """
     from .series import _CELL  # series imports this module
 
-    cells = [_CELL % w for w in u.weights.tolist()]
-    if isinstance(u, SymmetricKernel):
-        cells = cells[:0:-1] + cells  # each distinct weight formatted once, mirrored for k < 0
-    ks = range(-u.half_width, u.half_width + 1)
-    text = "k,weight\n" + "".join([f"{k},{cell}\n" for k, cell in zip(ks, cells)])
+    w = u.weights.tolist()
+    symmetric = isinstance(u, SymmetricKernel)
+    ks = range(0 if symmetric else -u.half_width, u.half_width + 1)
+    rows = (f"%d,{_CELL}\n" * len(w)) % tuple(itertools.chain.from_iterable(zip(ks, w)))
+    if symmetric:
+        rows = "".join(["-" + line for line in rows.splitlines(True)[:0:-1]]) + rows
+    text = "k,weight\n" + rows
 
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)

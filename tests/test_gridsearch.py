@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from smoothkit import extremal, multiplier
+from smoothkit import asymptotics, extremal, gridsearch, multiplier
+from smoothkit.chebyshev import ChebSeries
 from smoothkit.gridsearch import maximize, refine_grid_max, resolve_ties, sample_count, select_peaks
 from smoothkit.kernels import SymmetricKernel, epanechnikov_kernel, full_weights, optimal_kernel
 from smoothkit.suites import _random_general as random_general
@@ -70,6 +72,29 @@ class TestMaximize:
         assert seen["lo"].tolist() == [0.0, xs[j - 1] - xs[j]]
         assert seen["hi"].tolist() == [xs[1], xs[j + 1] - xs[j]]
         assert (value, x) == (1.0, 0.0)
+
+    def test_every_maximum_is_one_call(self, monkeypatch):
+        # the four maxima that the README says come from one maximizer
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return maximize(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "smoothkit" and getattr(module, "maximize", None) is maximize:
+                monkeypatch.setattr(module, "maximize", record)
+        u = optimal_kernel(10)
+        for run in (
+            lambda: multiplier.operator_norm(u, 2),
+            lambda: multiplier.operator_norm_via_polynomial(u),
+            lambda: extremal.minimax_lower_bound_check(ChebSeries(np.array([0.5, 0.5])), 1),
+            asymptotics.compute_mu,
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+        assert gridsearch.maximize is record
 
 
 class TestPolish:
