@@ -31,6 +31,30 @@ from smoothkit.series import TimeSeries
 from smoothkit.suites import _random_general as random_general
 from smoothkit.suites import _random_symmetric as random_symmetric
 
+U = 2.0**-53
+
+
+def seeded_general(n):
+    """A general kernel with negative, asymmetric weights, seeded by its half width."""
+    return random_general(np.random.default_rng(n), n)
+
+
+def symbol_longdouble(w, m, xi):
+    """(2 |sin(xi/2)|)^m |sum w_k exp(-i k xi)| as a direct np.longdouble sum, k = -n..n.
+
+    k xi is split as k xi_hi + k xi_lo with xi_hi the float32 part of xi, so
+    k xi_hi is exact and the phases are good to a few extended-precision ulps.
+    """
+    n = (w.size - 1) // 2
+    k = np.arange(-n, n + 1).astype(np.longdouble)
+    hi = float(np.float32(xi))
+    big, small = k * np.longdouble(hi), k * np.longdouble(xi - hi)
+    cos = np.cos(big) * np.cos(small) - np.sin(big) * np.sin(small)
+    sin = np.sin(big) * np.cos(small) + np.cos(big) * np.sin(small)
+    wl = w.astype(np.longdouble)
+    re, im = np.sum(wl * cos), np.sum(wl * sin)
+    return (2 * np.abs(np.sin(np.longdouble(xi) / 2))) ** m * np.sqrt(re * re + im * im)
+
 
 class TestSymbol:
     def test_identity_kernel_at_pi(self):
@@ -148,7 +172,7 @@ class TestLargeAndGeneral:
                 assert operator_norm(u, m) == operator_norm(u, m)
 
     @pytest.mark.parametrize("n", [512, 2048])
-    @pytest.mark.parametrize("family", [optimal_kernel, triangle_kernel])
+    @pytest.mark.parametrize("family", [optimal_kernel, triangle_kernel, seeded_general])
     def test_argmax_attains_value(self, family, n):
         u = family(n)
         bound = operator_norm(u, 2)
@@ -176,6 +200,75 @@ class TestLargeAndGeneral:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert float(proc.stdout) == pytest.approx(4.0, rel=1e-9)
+
+
+class TestHalfSpectrum:
+    """The polish sums k >= 1 with a_k = w_k + w_-k and b_k = w_k - w_-k, plus w_0."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_identity_general_kernel(self, m):
+        # n = 0: no k >= 1 terms, u_hat = w_0 = 1 and the symbol rises to 2^m at pi
+        bound = operator_norm(GeneralKernel(0, [1.0]), m)
+        assert bound.value == 2.0**m
+        assert bound.argmax_xi == math.pi
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_asymmetric_half_width_one(self, m):
+        # u_hat = (1 + exp(-i xi)) / 2, so |u_hat| = cos(xi/2) and the symbol is
+        # 2^m s^m sqrt(1 - s^2) in s = sin(xi/2), largest at s^2 = m / (m + 1);
+        # without the odd part b it would be 2^m s^m (1 - s^2) instead
+        bound = operator_norm(GeneralKernel(1, [0.0, 0.5, 0.5]), m)
+        assert bound.value == pytest.approx(2.0**m * math.sqrt(m**m / (m + 1) ** (m + 1)), rel=1e-13)
+        assert abs(bound.argmax_xi - 2.0 * math.asin(math.sqrt(m / (m + 1)))) <= 1e-9
+
+    def test_mirrored_general_kernel(self):
+        # the k < 0 weights of w enter reversed; swapping w_k and w_-k only conjugates u_hat
+        u = seeded_general(9)
+        mirrored = GeneralKernel(9, u.weights[::-1])
+        for m in (1, 2, 3):
+            a, b = operator_norm(u, m), operator_norm(mirrored, m)
+            assert b.value == pytest.approx(a.value, rel=1e-12)
+            assert abs(symbol_magnitude(u, m, a.argmax_xi) - a.value) <= 1e-10 * a.value
+
+
+def _pairwise_depth_bound(n):
+    """Depth of numpy's pairwise sum of n terms, as bounded in `_polish`'s docstring."""
+    return 24 + (math.ceil(math.log2(n / 128)) if n > 128 else 0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision longdouble")
+class TestPolishAccuracy:
+    """operator_norm against a longdouble direct sum at the returned argmax.
+
+    The bound is `_polish`'s: c u sum |w_k| (2 |sin(xi*/2)|)^m with
+    c = 23 + D + 10 m, D the pairwise-summation depth. The returned value may
+    come from another peak tied with the argmax's within 1e-12 relative
+    (`gridsearch.resolve_ties`), so that band is added.
+    """
+
+    @staticmethod
+    def check(u, m):
+        bound = operator_norm(u, m)
+        w = full_weights(u)
+        c = 23 + _pairwise_depth_bound(u.half_width) + 10 * m
+        scale = np.sum(np.abs(w)) * (2.0 * abs(math.sin(bound.argmax_xi / 2))) ** m
+        ref = symbol_longdouble(w, m, bound.argmax_xi)
+        err = float(abs(np.longdouble(bound.value) - ref))
+        assert err <= c * U * scale + 1e-12 * bound.value, (m, err / (U * scale))
+
+    @pytest.mark.parametrize("n", [1, 64, 512, 2048, 4096])
+    @pytest.mark.parametrize("family", [constant_kernel, triangle_kernel, epanechnikov_kernel, optimal_kernel])
+    def test_named(self, family, n):
+        u = family(n)
+        for m in (1, 2, 3, 5):
+            self.check(u, m)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 300, 2048])
+    def test_general(self, n):
+        for seed in (0, 1):
+            u = random_general(np.random.default_rng([n, seed]), n)
+            for m in (1, 2, 3, 5):
+                self.check(u, m)
 
 
 class TestPolynomialPath:
