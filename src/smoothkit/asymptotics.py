@@ -55,8 +55,8 @@ def compute_mu() -> MuResult:
     16 / pi <= 6 in theta, so `sample_count(ceil(16 / pi))` = 81 equally
     spaced points bracket its maximum (the `sample_count` docstring says
     why). `gridsearch.maximize` picks the peaks, brackets and ties (to the
-    smallest alpha) and polishes by Newton on g = f^2 / 2 with the closed
-    forms
+    smallest alpha) and polishes by Newton on g = f^2 / 2; this function
+    supplies |f| and the slope and curvature of g from the closed forms
 
         f'  = cos a / a - sin a / a^2 + sin a
         f'' = -sin a / a - 2 cos a / a^2 + 2 sin a / a^3 + cos a,
@@ -71,10 +71,7 @@ def compute_mu() -> MuResult:
 
     def derivs(nodes, live, t):
         f, f1, f2 = _gap_derivs(grid[nodes[live]] + t)
-        g1, g2 = f * f1, f1 * f1 + f * f2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(g2 < 0, -g1 / g2, np.nan)
-        return np.abs(f), g1, step
+        return np.abs(f), f * f1, f1 * f1 + f * f2
 
     mu, alpha_star = maximize(
         grid, sinc_cos_gap(grid), lambda nodes, lo, hi: lambda live, t: derivs(nodes, live, t)

@@ -208,33 +208,32 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     return EquioscillationReport(passed, residuals, grid_max, sol.alpha)
 
 
-def weighted_max(p: ChebSeries, points: int) -> tuple[float, float]:
+def weighted_max(p: ChebSeries) -> tuple[float, float]:
     """Maximum over theta in [0, pi] of |(1 - cos theta) p(cos theta)|; returns (value, theta).
 
-    The maximum is located on `points` equally spaced theta (extrema of
-    Chebyshev-like products equidistribute in theta, not x) and polished by
-    `gridsearch.refine_grid_max`, whose `maximize` owns peaks, brackets and
-    ties. Fewer points than `gridsearch.sample_count(p.degree + 1)` raise ValueError.
+    The maximum is located on `gridsearch.sample_count(p.degree + 2)` equally
+    spaced theta (extrema of Chebyshev-like products equidistribute in
+    theta, not x): the product has degree p.degree + 1, and one more gives a
+    kernel's p the torus half grid at m = 2. It is polished by
+    `gridsearch.refine_grid_max`, whose `maximize` owns peaks, brackets and ties.
     """
-    if points < sample_count(p.degree + 1):
-        raise ValueError(f"need at least {sample_count(p.degree + 1)} points for degree {p.degree}")
 
     def weighted(theta):
         x = np.cos(theta)
         return np.abs((1.0 - x) * clenshaw_eval(p, x))
 
-    return refine_grid_max(weighted, np.linspace(0.0, math.pi, points))
+    return refine_grid_max(weighted, np.linspace(0.0, math.pi, sample_count(p.degree + 2)))
 
 
 def minimax_lower_bound_check(p: ChebSeries, d: int) -> LowerBoundReport:
     """Confirm max |(1-x) p(x)| >= alpha(d) for a challenger p with p(1) = 1.
 
-    The maximum is `weighted_max` on `gridsearch.sample_count(d + 2)` points.
+    The maximum is `weighted_max`'s, on `gridsearch.sample_count(p.degree + 2)` points.
     """
     if p.degree > d:
         raise ValueError("challenger degree exceeds the stated bound")
     if abs(float(np.sum(p.coeffs)) - 1.0) > 1e-9:
         raise ValueError("challenger must satisfy p(1) = 1")
-    m, _ = weighted_max(p, sample_count(d + 2))
+    m, _ = weighted_max(p)
     alpha = alpha_closed_form(d)
     return LowerBoundReport(m >= alpha * (1.0 - 1e-9), m, alpha, m - alpha)

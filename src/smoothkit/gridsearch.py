@@ -81,10 +81,11 @@ def polish(derivs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
     Each bracket [lo, hi] holds the start t = 0 of a local coordinate.
     `derivs(live, t)` gets the indices of the moving brackets and their points
-    and returns the values, the slopes (only their sign is used) and the Newton
-    steps, nan where the curvature is >= 0. A bracket shrinks to t on the sign
-    of the slope, takes the Newton step if it stays inside, else bisects, and
-    stops once a step is <= 1e-12 (after at most 100 steps).
+    and returns the values, slopes and curvatures of the function Newton runs
+    on; slope and curvature may share one positive factor per point. A
+    bracket shrinks to t on the sign of the slope and takes the Newton step
+    t - slope / curv where curv < 0 and the step stays inside, else bisects.
+    It stops once a step is <= 1e-12 (after at most 100 steps).
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -93,11 +94,12 @@ def polish(derivs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     live = np.arange(lo.size)
     for step in range(_MAX_STEPS):
         tl = t[live]
-        values[live], slope, newton_step = derivs(live, tl)
+        values[live], slope, curv = derivs(live, tl)
         lo[live] = np.where(slope > 0, tl, lo[live])
         hi[live] = np.where(slope < 0, tl, hi[live])
-        newton = tl + newton_step
-        ok = (newton >= lo[live]) & (newton <= hi[live])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = tl - slope / curv
+        ok = (curv < 0) & (newton >= lo[live]) & (newton <= hi[live])
         nxt = np.where(ok, newton, 0.5 * (lo[live] + hi[live]))
         moving = np.abs(nxt - tl) > 1e-12
         live = live[moving]
@@ -141,7 +143,7 @@ def maximize(grid, samples, derivs_at) -> tuple[float, float]:
     """Global maximum from samples on a `sample_count` grid or a denser one; returns (value, argmax).
 
     `select_peaks` picks nodes bracketed by their neighbours (one-sided at
-    the grid ends), `polish` runs all brackets on the function returned by
+    the grid ends), `polish` runs all brackets on the `derivs` returned by
     `derivs_at(nodes, lo, hi)` (lo, hi relative to the nodes) and `resolve_ties` picks the result.
     """
     xs = np.asarray(grid, dtype=float)
@@ -155,9 +157,10 @@ def maximize(grid, samples, derivs_at) -> tuple[float, float]:
 def refine_grid_max(fn, grid) -> tuple[float, float]:
     """Global maximum of a value-only, vectorized fn by `maximize` over the grid; returns (value, argmax).
 
-    A three-point central stencil gives slope and curvature: one fn call per
-    step, at most one spacing outside the grid. Newton steps below 1e-3 of
-    the spacing, where stencil rounding takes over, count as converged.
+    A three-point central stencil with spacing d gives slope and curvature,
+    both times d^2: one fn call per step, at most one spacing outside the
+    grid. Newton steps below 1e-3 d, where stencil rounding takes over, count
+    as converged: the slope is set to 0 there.
     """
     xs = np.asarray(grid, dtype=float)
 
@@ -165,9 +168,9 @@ def refine_grid_max(fn, grid) -> tuple[float, float]:
         d = _SPACING * (hi[live] - lo[live])
         x = xs[nodes[live]] + t
         f_lo, f_mid, f_hi = np.reshape(fn(np.concatenate([x - d, x, x + d])), (3, -1))
-        curv = f_hi - 2.0 * f_mid + f_lo
+        slope, curv = 0.5 * d * (f_hi - f_lo), f_hi - 2.0 * f_mid + f_lo
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(curv < 0, 0.5 * d * (f_lo - f_hi) / curv, np.nan)
-        return f_mid, f_hi - f_lo, np.where(np.abs(step) < 1e-3 * d, 0.0, step)
+            converged = (curv < 0) & (np.abs(slope / curv) < 1e-3 * d)
+        return f_mid, np.where(converged, 0.0, slope), curv
 
     return maximize(xs, fn(xs), lambda nodes, lo, hi: lambda live, t: stencil(nodes, lo, hi, live, t))

@@ -96,9 +96,11 @@ def operator_norm(u: SymmetricKernel | GeneralKernel, m: int) -> MultiplierBound
 def _polish(w: np.ndarray, m: int, count: int, nodes: np.ndarray):
     """The symbol's derivative function for `gridsearch.polish` at the given grid nodes.
 
-    It only supplies the values, slopes and Newton steps of
-    g = (2 - 2 cos xi)^m |u_hat|^2; `gridsearch.maximize` picks the nodes,
-    brackets them and resolves ties.
+    It only supplies the symbol's values and the slope and curvature of its
+    square g = s^m |u_hat|^2, s = 2 - 2 cos xi, both divided by s^(m-2) so
+    they stay finite at xi = 0 (a positive factor elsewhere, which leaves
+    the Newton step unchanged); `gridsearch.maximize` picks the nodes,
+    brackets them and resolves ties, and `gridsearch.polish` takes the steps.
 
     Real weights make exp(+i k xi) the conjugate of exp(-i k xi), so with
     a_k = w_k + w_-k and b_k = w_k - w_-k for k = 1..n the symbol is summed
@@ -154,17 +156,15 @@ def _polish(w: np.ndarray, m: int, count: int, nodes: np.ndarray):
         re2, im2 = -cs[:, 2], sn[:, 2]
         xi = nodes[live] * h + tl
         sin_half = np.sin(0.5 * xi)
-        # s = 2 - 2 cos xi and a0 = |u_hat|^2 with their derivatives; g1 and g2
-        # are g' / s^(m-1) and g'' / s^(m-2), so they stay finite at xi = 0
+        # s and a0 = |u_hat|^2 with their derivatives; g1 and g2 are
+        # g' / s^(m-1) and g'' / s^(m-2), so s g1 and g2 share s^(2-m)
         s, ds, dds = 4.0 * sin_half**2, 2.0 * np.sin(xi), 2.0 * np.cos(xi)
         a0 = re0**2 + im0**2
         a1 = 2.0 * (re0 * re1 + im0 * im1)
         a2 = 2.0 * (re1**2 + im1**2 + re0 * re2 + im0 * im2)
         g1 = m * ds * a0 + s * a1
         g2 = m * (m - 1) * ds * ds * a0 + m * s * (dds * a0 + 2.0 * ds * a1) + s * s * a2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(g2 < 0, -(s * g1 / g2), np.nan)
-        return (2.0 * sin_half) ** m * np.hypot(re0, im0), g1, step
+        return (2.0 * sin_half) ** m * np.hypot(re0, im0), s * g1, g2
 
     return derivs
 
@@ -173,14 +173,14 @@ def operator_norm_via_polynomial(u: SymmetricKernel) -> MultiplierBound:
     """Order-2 norm by the substitution x = cos(xi): 2 max |(1-x) p_u(x)|.
 
     Only the second-difference case reduces this way, since
-    |exp(i xi) - 1|^2 = 2 (1 - cos xi). The maximum is sampled by Clenshaw
-    at `gridsearch.sample_count(n + 2)` equally spaced theta in [0, pi], the
-    frequencies of the torus half grid at m = 2, and polished by
-    `gridsearch.refine_grid_max`.
+    |exp(i xi) - 1|^2 = 2 (1 - cos xi). `extremal.weighted_max` samples it
+    by Clenshaw at `gridsearch.sample_count(n + 2)` equally spaced theta in
+    [0, pi], the frequencies of the torus half grid at m = 2, and polishes
+    it by `gridsearch.refine_grid_max`.
     """
     if not isinstance(u, SymmetricKernel):
         raise ValueError("polynomial form needs a symmetric kernel")
-    value, theta = weighted_max(to_polynomial(u), sample_count(u.half_width + 2))
+    value, theta = weighted_max(to_polynomial(u))
     return MultiplierBound(2.0 * value, theta, 2, "polynomial_form")
 
 

@@ -338,10 +338,19 @@ class TestLowerBound:
 
 
 class TestWeightedMax:
-    def test_rejects_grids_below_the_sampling_rule(self):
+    def test_challenger_grid_follows_the_sampling_rule(self, monkeypatch):
+        # the grid comes from the challenger's own degree, not the stated bound d
+        grids = []
+        refine = extremal.refine_grid_max
+
+        def record(fn, grid):
+            grids.append(np.asarray(grid))
+            return refine(fn, grid)
+
+        monkeypatch.setattr(extremal, "refine_grid_max", record)
         p = ChebSeries([0.5, 0.5])
-        points = sample_count(p.degree + 1)
-        value, _ = extremal.weighted_max(p, points)
-        assert value == pytest.approx(0.5, rel=1e-12)
-        with pytest.raises(ValueError, match=f"need at least {points} points for degree 1"):
-            extremal.weighted_max(p, points - 1)
+        report = minimax_lower_bound_check(p, 3)
+        (grid,) = grids
+        assert grid.size == sample_count(p.degree + 2) == 57
+        assert np.array_equal(grid, np.linspace(0.0, math.pi, 57))
+        assert report.max_weighted == pytest.approx(0.5, rel=1e-12)

@@ -3,13 +3,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from smoothkit import asymptotics, extremal, gridsearch, multiplier
 from smoothkit.chebyshev import ChebSeries
-from smoothkit.gridsearch import maximize, refine_grid_max, resolve_ties, sample_count, select_peaks
+from smoothkit.gridsearch import maximize, polish, refine_grid_max, resolve_ties, sample_count, select_peaks
 from smoothkit.kernels import SymmetricKernel, epanechnikov_kernel, full_weights, optimal_kernel
 from smoothkit.suites import _random_general as random_general
 from smoothkit.suites import _random_symmetric as random_symmetric
+from smoothkit.suites import _random_unit_at_one
 
 # the worst ratio of sampled to true peak on a `sample_count` grid
 BAND = 1.0 - math.pi**2 / 512
@@ -62,7 +65,7 @@ class TestMaximize:
 
             def derivs(live, t):
                 x = centers[live] + t
-                return np.cos(x), -np.sin(x), np.where(np.cos(x) > 0, -np.tan(x), np.nan)
+                return np.cos(x), -np.sin(x), -np.cos(x)
 
             return derivs
 
@@ -108,6 +111,123 @@ class TestPolish:
         _, x = refine_grid_max(fn, np.linspace(0.0, 3.0, 31))
         assert 0 not in dims
         assert abs(x - 0.3) <= 1e-12
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-2.0, 2.0),  # amplitude
+                st.floats(0.5, 6.0),  # frequency
+                st.floats(0.0, 2.0 * math.pi),  # phase
+                st.floats(-2.0, 2.0),  # linear trend
+                st.floats(0.0, 2.0),  # bracket below 0
+                st.floats(0.0, 2.0),  # bracket above 0
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # a local minimum at the start, where a Newton step would stay put
+    @example([(-1.0, 1.0, 0.0, 0.0, 1.0, 2.0)])
+    def test_newton_only_where_concave_and_inside(self, cases):
+        # f(t) = a cos(w t + phi) + b t is convex on half of each period. The bracket each
+        # iterate must stay in is rebuilt from the slopes that `polish` saw; after a point
+        # of curvature >= 0 the next iterate is the midpoint, or the polish stops there.
+        a, w, phi, b, below, above = np.array(cases).T
+        calls = []
+
+        def derivs(live, t):
+            arg = w[live] * t + phi[live]
+            slope = -a[live] * w[live] * np.sin(arg) + b[live]
+            curv = -a[live] * w[live] ** 2 * np.cos(arg)
+            calls.append((live, t, slope, curv))
+            return a[live] * np.cos(arg) + b[live] * t, slope, curv
+
+        _, t_end = polish(derivs, -below, above)
+        lo, hi = -below.copy(), above.copy()
+        steps = np.zeros(lo.size, dtype=int)
+        bisect = {}  # bracket -> (midpoint, point it was taken from)
+        for live, t, slope, curv in calls:
+            for i, ti, si, ci in zip(live, t, slope, curv):
+                assert lo[i] <= ti <= hi[i]
+                if i in bisect:
+                    assert ti == bisect.pop(i)[0]
+                steps[i] += 1
+                lo[i] = ti if si > 0 else lo[i]
+                hi[i] = ti if si < 0 else hi[i]
+                if not ci < 0:
+                    bisect[i] = (0.5 * (lo[i] + hi[i]), ti)
+        for i, (mid, ti) in bisect.items():
+            assert abs(mid - ti) <= 1e-12 or steps[i] == 100
+        assert np.all((-below <= t_end) & (t_end <= above))
+
+
+def _suppliers(monkeypatch, module, run):
+    """(lo, hi, derivs) of every bracket set that `run` polishes through module.maximize."""
+    seen = []
+
+    def record(grid, samples, derivs_at):
+        def at(nodes, lo, hi):
+            seen.append((lo, hi, derivs_at(nodes, lo, hi)))
+            return seen[-1][2]
+
+        return maximize(grid, samples, at)
+
+    monkeypatch.setattr(module, "maximize", record)
+    run()
+    return seen
+
+
+# central-difference weights of the first and second derivative on 3 and 5 points
+_CENTRAL = {
+    3: ([-0.5, 0.0, 0.5], [1.0, -2.0, 1.0]),
+    5: ([1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12], [-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12]),
+}
+
+
+def _assert_newton_steps(lo, hi, derivs, power, points, spacing):
+    """-slope / curv from derivs matches a central-difference Newton step of the supplier's
+    own function (its value to the given power), spaced `spacing` times the bracket width,
+    at interior points of each bracket."""
+    frac = np.array([0.2, 0.4, 0.6, 0.8])
+    live = np.repeat(np.arange(lo.size), frac.size)
+    width = hi[live] - lo[live]
+    t = lo[live] + np.tile(frac, lo.size) * width
+    _, slope, curv = derivs(live, t)
+    h = spacing * width
+    offsets = np.arange(points) - points // 2
+    f = np.array([derivs(live, t + k * h)[0] ** power for k in offsets])
+    first, second = (np.dot(weights, f) for weights in _CENTRAL[points])
+    np.testing.assert_allclose(-slope / curv, -h * first / second, rtol=1e-6)
+
+
+class TestSupplierContract:
+    """Each production supplier returns the slope and curvature of the function its
+    Newton iteration runs on, up to one positive factor per point."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["symmetric", "general"])
+    def test_torus(self, monkeypatch, kind, m):
+        rng = np.random.default_rng(2600 + m)
+        u = random_symmetric(rng, 9) if kind == "symmetric" else random_general(rng, 9)
+        seen = _suppliers(monkeypatch, multiplier, lambda: multiplier.operator_norm(u, m))
+        for lo, hi, derivs in seen:
+            _assert_newton_steps(lo, hi, derivs, power=2, points=5, spacing=5e-3)
+
+    def test_mu(self, monkeypatch):
+        (supplier,) = _suppliers(monkeypatch, asymptotics, asymptotics.compute_mu)
+        _assert_newton_steps(*supplier, power=2, points=5, spacing=5e-3)
+
+    def test_weighted_max_stencil(self, monkeypatch):
+        rng = np.random.default_rng(2626)
+        u = random_symmetric(rng, 12)
+        seen = _suppliers(monkeypatch, gridsearch, lambda: multiplier.operator_norm_via_polynomial(u))
+        seen += _suppliers(
+            monkeypatch, gridsearch, lambda: extremal.minimax_lower_bound_check(_random_unit_at_one(rng, 5), 5)
+        )
+        assert len(seen) == 2
+        for lo, hi, derivs in seen:
+            # the stencil is itself a 3-point central difference, at its own spacing
+            _assert_newton_steps(lo, hi, derivs, power=1, points=3, spacing=gridsearch._SPACING)
 
 
 class TestSelectPeaks:
