@@ -198,6 +198,8 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite")
     N = sol.degree + 1
     signs = (-1.0) ** np.arange(1, N + 1)
     theta = np.arccos(_domain(sol.alternation_points))
@@ -216,6 +218,20 @@ def weighted_max(p: ChebSeries) -> tuple[float, float]:
     theta, not x): the product has degree p.degree + 1, and one more gives a
     kernel's p the torus half grid at m = 2. It is polished by
     `gridsearch.refine_grid_max`, whose `maximize` owns peaks, brackets and ties.
+
+    Each value is (1 - x) times Clenshaw's p(x) at x = np.cos(theta). With
+    W(x) = (1 - x) p(x), Clenshaw's intermediates
+    b_k = sum_{j >= k} c_j U_{j-k}(x) and u = 2^-53, it is within
+    u (|W'(x)| + 6 (1 - x) sum_{k >= 1} |b_k| + 3 |W(x)|) of |W(cos theta)|,
+    to first order. The step b_k = (2x b_{k+1} - b_{k+2}) + c_k rounds by
+    at most u (|b_k| + 4 |b_{k+1}| + |b_{k+2}|), and an error e in b_k moves
+    p by e T_k(x), |T_k| <= 1; the last step x b_1 - b_2 + c_0 adds
+    u (2 |b_1| + |b_2| + |p|). np.cos within one ulp moves x by at most u,
+    so W by u |W'(x)|, which is small at a polished peak, where W' vanishes.
+    1 - x and the product round once each. Since
+    |U_m(cos theta)| <= min(m + 1, 1 / sin theta), sum |b_k| is at most
+    sum_k k (k + 1) / 2 |c_k|, so the bound can grow with the degree squared;
+    it does near theta = 0 and pi, where the b_k do not cancel.
     """
 
     def weighted(theta):

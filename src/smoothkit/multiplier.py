@@ -224,8 +224,12 @@ def wave_packet(xi_star: float, sigma: float, length: int) -> TimeSeries:
     window must cover the envelope: length >= 8 sigma keeps the truncated
     tail below exp(-8).
     """
+    if not math.isfinite(xi_star):
+        raise ValueError("xi_star must be finite")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if not math.isfinite(sigma):
+        raise ValueError("sigma must be finite")
     if length < 1:
         raise ValueError("length must be positive")
     if length < 8 * sigma:

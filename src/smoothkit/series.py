@@ -6,15 +6,17 @@ with "valid" avoiding any extension so norm inequalities can be tested
 without edge artifacts.
 
 A data CSV is read through `Rows`, whose csv.reader loop defines its rows.
-Each pass of `CsvSource` reads plain blocks, then that loop. A block is one
-string from one read of 2^16 characters finished to the next line end. A
-plain block (no quote, NUL, lone CR or over-long line, and the header's
-number of commas on every non-blank line) is split on commas in pass 1. In
-pass 2 its non-blank lines, with `%` escaped, each followed by a cell spec,
-form one template that a single `%` call fills with the block's values.
-That gives the rows, output bytes and error messages of the loop without
+Pass 1 of `CsvSource` reads plain blocks, then that loop; so does pass 2
+when it appends its column, its one fast path. A block is one string from
+one read of 2^16 characters finished to the next line end. A plain block
+(no quote, NUL, lone CR or over-long line, and the header's number of
+commas on every non-blank line) is split on commas in pass 1. In pass 2
+its non-blank lines, with `%` escaped, each followed by a cell spec, form
+one template that a single `%` call fills with the block's values. That
+gives the rows, output bytes and error messages of the loop without
 running it row by row. The first block that is not plain, or in pass 1 a
 plain block with a bad cell, goes with the rest of the file to the loop.
+Pass 2 writes a column filled in place by the loop from the first row.
 """
 
 from __future__ import annotations
@@ -311,25 +313,23 @@ class CsvSource:
         Every column so named is overwritten, or one is appended if there
         is none. The first and last `offset` data rows are left out, so
         `values` holds one number per remaining row, written with 17
-        significant digits. Other cells pass through csv.writer unchanged;
-        the non-blank lines of a plain block that gains a column are written
-        as they were, plus the cell, by one `%` call on a template.
+        significant digits. Other cells pass through csv.writer unchanged.
+        The one fast path is the appended column: the non-blank lines of a
+        plain block are written as they were, plus the cell, by one `%`
+        call on a template. A column filled in place goes through the row
+        loop and csv.writer, a row at a time.
         """
         writer = csv.writer(out)
         with self.rows() as rows:
             slots = [j for j, name in enumerate(rows.fields) if name == column]
             writer.writerow(rows.fields if slots else rows.fields + [column])
             seen = 0  # data rows read
-            for _, part in rows.blocks():
+            for _, part in () if slots else rows.blocks():  # a column filled in place takes the row loop
                 batch = list(filter(None, part))
                 lo, hi = (min(max(edge - seen, 0), len(batch)) for edge in (offset, offset + values.size))
-                chunk = values[seen + lo - offset : seen + hi - offset]
-                if slots:
-                    split = map(str.split, batch[lo:hi], itertools.repeat(","))
-                    writer.writerows(_filled(split, _cells(chunk), slots))
-                elif hi > lo:
+                if hi > lo:
                     template = "\n".join(batch[lo:hi]).replace("%", "%%").replace("\n", _APPENDED) + _APPENDED
-                    out.write(template % tuple(chunk.tolist()))
+                    out.write(template % tuple(values[seen + lo - offset : seen + hi - offset].tolist()))
                 seen += len(batch)
             it = iter(rows)  # what the blocks left, as csv.reader reads it
             seen += sum(1 for _ in itertools.islice(it, max(offset - seen, 0)))

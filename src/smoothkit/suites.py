@@ -61,13 +61,12 @@ def run_extremal_suite(n_max: int, tol_scale: float) -> list[CheckResult]:
         report = extremal.verify_equioscillation(sol, tol)
         equi_ok &= report.passed
         worst = max(worst, float(np.max(report.residuals)))
-        if d <= 64:
-            s_at_one = abs(float(np.sum(sol.S.coeffs)) - 1.0)
-            q_at_one = abs(float(np.sum(sol.q.coeffs)))
-            q_scale = float(np.sum(np.abs(sol.q.coeffs)))
-            equi_ok &= s_at_one <= tol
-            equi_ok &= q_at_one <= tol * q_scale
-            equi_ok &= sol.alternation_points[-1] == -1.0
+        s_at_one = abs(float(np.sum(sol.S.coeffs)) - 1.0)
+        q_at_one = abs(float(np.sum(sol.q.coeffs)))
+        q_scale = float(np.sum(np.abs(sol.q.coeffs)))
+        equi_ok &= s_at_one <= tol
+        equi_ok &= q_at_one <= tol * q_scale
+        equi_ok &= sol.alternation_points[-1] == -1.0
     checks.append(
         CheckResult("equioscillation", equi_ok, f"d <= {n_max}, worst residual {worst:.3g}")
     )

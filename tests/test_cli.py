@@ -845,6 +845,18 @@ _LIBRARY_ERRORS = {
     ),
     "closed_form_c2_negative": (lambda: closed_form_c2(-1), "half width must be nonnegative"),
     "wave_packet_empty": (lambda: multiplier.wave_packet(1.0, 1.0, 0), "length must be positive"),
+    "wave_packet_nan_sigma": (lambda: multiplier.wave_packet(1.0, math.nan, 100), "sigma must be finite"),
+    "wave_packet_inf_sigma": (lambda: multiplier.wave_packet(1.0, math.inf, 100), "sigma must be finite"),
+    "wave_packet_nan_xi_star": (lambda: multiplier.wave_packet(math.nan, 1.0, 100), "xi_star must be finite"),
+    "wave_packet_inf_xi_star": (lambda: multiplier.wave_packet(math.inf, 1.0, 100), "xi_star must be finite"),
+    "verify_equioscillation_nan": (
+        lambda: extremal.verify_equioscillation(extremal.build_solution(2), math.nan),
+        "tolerance must be finite",
+    ),
+    "verify_equioscillation_inf": (
+        lambda: extremal.verify_equioscillation(extremal.build_solution(2), math.inf),
+        "tolerance must be finite",
+    ),
     "constant_kernel_negative": (lambda: constant_kernel(-1), "half width must be nonnegative"),
     "triangle_kernel_negative": (lambda: kernels.triangle_kernel(-1), "half width must be nonnegative"),
     "derivative_order_0": (

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import eval_T, stretch_map
-from smoothkit import extremal
+from smoothkit import extremal, kernels
 from smoothkit.chebyshev import ChebSeries, clenshaw_eval, transform
 from smoothkit.extremal import (
     alpha_closed_form,
@@ -354,3 +354,23 @@ class TestWeightedMax:
         assert grid.size == sample_count(p.degree + 2) == 57
         assert np.array_equal(grid, np.linspace(0.0, math.pi, 57))
         assert report.max_weighted == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 512, 4096])
+    @pytest.mark.parametrize("family", ["optimal_kernel", "epanechnikov_kernel", "triangle_kernel"])
+    def test_value_within_the_clenshaw_bound(self, family, n):
+        # the docstring's first-order bound, from longdouble W, W' and Clenshaw intermediates b_k at theta
+        p = kernels.to_polynomial(getattr(kernels, family)(n))
+        value, theta = extremal.weighted_max(p)
+        t = np.longdouble(theta)
+        x = np.cos(t)
+        k = np.arange(p.coeffs.size, dtype=np.longdouble)
+        c = p.coeffs.astype(np.longdouble)
+        at_x = np.sum(c * np.cos(k * t))
+        W = (1 - x) * at_x
+        dW = (1 - x) * np.sum(c * k * np.sin(k * t)) / np.sin(t) - at_x
+        b1 = b2 = b_sum = np.longdouble(0)
+        for ck in c[:0:-1]:
+            b1, b2 = ck + 2 * x * b1 - b2, b1
+            b_sum += abs(b1)
+        bound = 2.0**-53 * (abs(dW) + 6 * (1 - x) * b_sum + 3 * abs(W))
+        assert abs(value - abs(W)) <= bound
