@@ -42,6 +42,8 @@ class MuResult:
 def sinc_cos_gap(alpha):
     """|sin(a)/a - cos(a)| with the limit value 0 at a = 0."""
     a = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("alpha must be finite")
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(a == 0.0, 1.0, np.sin(a) / np.where(a == 0.0, 1.0, a))
     out = np.abs(ratio - np.cos(a))
@@ -149,6 +151,8 @@ def scaled_symbol(n: int, alpha):
     if n < 1:
         raise ValueError("half width must be at least 1")
     a = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("alpha must be finite")
     c = (2.0 * n - 1.0) / (2.0 * n)
     small = np.abs(a) < 1e-12
     safe = np.where(small, 1.0, a)

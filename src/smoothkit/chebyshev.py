@@ -1,4 +1,4 @@
-"""Chebyshev-basis machinery: evaluation, nodes, discrete transform, deflation.
+"""Chebyshev-basis machinery: evaluation, nodes, discrete transform.
 
 Series are evaluated by Clenshaw's recurrence and interpolated by a DCT-II
 built on numpy's FFT, up to the supported degree (4096).
@@ -96,26 +96,7 @@ def transform(values) -> ChebSeries:
     return ChebSeries(c)
 
 
-# not exported; stays only until perfbench stops naming it (ROADMAP item 5 deletes it)
+# not exported; perfbench's traced mode looks the name up and never calls it (ROADMAP item 5 deletes it)
 def deflate_at_one(q: ChebSeries) -> ChebSeries:
-    """Divide out the root at x = 1: returns s with (x - 1) * s(x) = q(x).
-
-    The quotient is sampled at cheb_nodes(degree), which stay clear of the
-    removable singularity, and re-interpolated. The product identity is then
-    re-checked at 32 fixed pseudo-random points; failure raises rather than
-    returning a silently truncated quotient.
-    """
-    scale = float(np.sum(np.abs(q.coeffs)))
-    # clenshaw_eval(q, 1) is exactly the coefficient sum
-    if abs(float(np.sum(q.coeffs))) > 1e-9 * scale:
-        raise ValueError("series does not vanish at x = 1; cannot deflate")
-    if q.degree == 0:
-        raise ValueError("cannot deflate a degree-0 series")
-    nodes = cheb_nodes(q.degree)
-    s = transform(clenshaw_eval(q, nodes) / (nodes - 1.0))
-    rng = np.random.default_rng(193)
-    pts = rng.uniform(-1.0, 1.0, 32)
-    resid = np.abs((pts - 1.0) * clenshaw_eval(s, pts) - clenshaw_eval(q, pts))
-    if scale > 0.0 and float(np.max(resid)) > 1e-10 * scale:
-        raise ArithmeticError("deflation round-trip check failed")
-    return s
+    """Removed: `extremal.build_solution` samples S = q / (1 - x) in closed form."""
+    raise NotImplementedError("deflate_at_one is removed; only its name is kept")

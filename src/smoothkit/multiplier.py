@@ -222,7 +222,8 @@ def wave_packet(xi_star: float, sigma: float, length: int) -> TimeSeries:
     Spectral width is O(1/sigma), so for sigma large the packet nearly
     attains the operator norm when xi_star is the symbol's argmax. The
     window must cover the envelope: length >= 8 sigma keeps the truncated
-    tail below exp(-8).
+    tail below exp(-8). A xi_star or sigma whose phase xi_star k or
+    exponent (k - center)^2 / (2 sigma^2) overflows raises ValueError.
     """
     if not math.isfinite(xi_star):
         raise ValueError("xi_star must be finite")
@@ -234,7 +235,12 @@ def wave_packet(xi_star: float, sigma: float, length: int) -> TimeSeries:
         raise ValueError("length must be positive")
     if length < 8 * sigma:
         raise ValueError("window too short for the envelope: need length >= 8 sigma")
+    if not math.isfinite(xi_star * (length - 1)):
+        raise ValueError("xi_star is too large: xi_star * (length - 1) overflows")
     k = np.arange(length, dtype=float)
     center = 0.5 * (length - 1)
-    envelope = np.exp(-((k - center) ** 2) / (2.0 * sigma * sigma))
+    spread = 2.0 * sigma * sigma
+    if spread == 0.0 or not math.isfinite(center * center / spread):
+        raise ValueError("sigma is too small: (length - 1)^2 / (8 sigma^2) overflows")
+    envelope = np.exp(-((k - center) ** 2) / spread)
     return TimeSeries(envelope * np.cos(xi_star * k))

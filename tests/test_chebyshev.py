@@ -11,7 +11,6 @@ from smoothkit.chebyshev import (
     ChebSeries,
     cheb_nodes,
     clenshaw_eval,
-    deflate_at_one,
     transform,
 )
 
@@ -167,34 +166,3 @@ class TestTransform:
         scale = np.max(np.abs(s.coeffs))
         assert np.max(np.abs(back.coeffs - s.coeffs)) <= 1e-12 * scale
         assert_allclose(clenshaw_eval(back, nodes), clenshaw_eval(s, nodes), rtol=1e-12)
-
-
-class TestDeflate:
-    def test_linear_factor(self):
-        # (x - 1) / (x - 1) = 1
-        assert_allclose(deflate_at_one(ChebSeries([-1.0, 1.0])).coeffs, [1.0], atol=1e-14)
-
-    def test_quadratic(self):
-        # T_2 - 1 = 2x^2 - 2 = (x - 1)(2x + 2)
-        assert_allclose(deflate_at_one(ChebSeries([-1.0, 0.0, 1.0])).coeffs, [2.0, 2.0], atol=1e-13)
-
-    def test_rejects_nonroot(self):
-        s = ChebSeries([1.0, 2.0, 3.0])  # s(1) = 6, far from 0
-        with pytest.raises(ValueError):
-            deflate_at_one(s)
-
-    def test_rejects_marginal_root(self):
-        # q(1) = 0.1 * sum |c_k| violates the precondition
-        with pytest.raises(ValueError):
-            deflate_at_one(ChebSeries([0.1, 0.55, -0.45]))
-
-    @pytest.mark.parametrize("degree", [1, 2, 5, 16, 64])
-    def test_multiplication_round_trip(self, degree):
-        rng = np.random.default_rng(100 + degree)
-        # build q = (x - 1) * s from a random s, then recover s
-        s = ChebSeries(rng.normal(size=degree))
-        nodes = cheb_nodes(degree + 1)
-        q = transform((nodes - 1.0) * clenshaw_eval(s, nodes))
-        back = deflate_at_one(q)
-        x = rng.uniform(-1, 1, 32)
-        assert_allclose(clenshaw_eval(back, x), clenshaw_eval(s, x), atol=1e-11, rtol=1e-11)

@@ -849,6 +849,14 @@ _LIBRARY_ERRORS = {
     "wave_packet_inf_sigma": (lambda: multiplier.wave_packet(1.0, math.inf, 100), "sigma must be finite"),
     "wave_packet_nan_xi_star": (lambda: multiplier.wave_packet(math.nan, 1.0, 100), "xi_star must be finite"),
     "wave_packet_inf_xi_star": (lambda: multiplier.wave_packet(math.inf, 1.0, 100), "xi_star must be finite"),
+    "wave_packet_huge_xi_star": (
+        lambda: multiplier.wave_packet(1e308, 1.0, 100),
+        r"xi_star is too large: xi_star \* \(length - 1\) overflows",
+    ),
+    "wave_packet_tiny_sigma": (
+        lambda: multiplier.wave_packet(1.0, 1e-170, 10),
+        r"sigma is too small: \(length - 1\)\^2 / \(8 sigma\^2\) overflows",
+    ),
     "verify_equioscillation_nan": (
         lambda: extremal.verify_equioscillation(extremal.build_solution(2), math.nan),
         "tolerance must be finite",
@@ -872,6 +880,8 @@ _LIBRARY_ERRORS = {
     ),
     "beat_bound_order_0": (lambda: asymptotics.beat_bound_check(0, _X), "order must be at least 1"),
     "scaled_symbol_order_0": (lambda: asymptotics.scaled_symbol(0, _X), "half width must be at least 1"),
+    "scaled_symbol_inf": (lambda: asymptotics.scaled_symbol(4, math.inf), "alpha must be finite"),
+    "sinc_cos_gap_inf": (lambda: asymptotics.sinc_cos_gap(math.inf), "alpha must be finite"),
     "unknown_suite": (lambda: suites.run_suite("bogus"), "unknown suite 'bogus'; choose from"),
 }
 
