@@ -31,16 +31,20 @@ __all__ = [
 class ExtremalSolution:
     """Degree-d minimax solution and the data certifying it.
 
-    S is the optimal polynomial, q(x) = (1-x) S(x) the weighted product, and
-    alternation_points the d+1 inputs y_1 > ... > y_{d+1} = -1 at which q
-    alternates between +alpha and -alpha.
+    S is the optimal polynomial and alternation_points the d+1 inputs
+    y_1 > ... > y_{d+1} = -1 at which the weighted product q(x) = (1-x) S(x)
+    alternates between +alpha and -alpha. q is derived from S on each read,
+    so it cannot disagree with the S that becomes the kernel.
     """
 
     degree: int
     alpha: float
     S: ChebSeries
-    q: ChebSeries
     alternation_points: np.ndarray
+
+    @property
+    def q(self) -> ChebSeries:
+        return ChebSeries(_one_minus_x_times(self.S.coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +63,8 @@ class LowerBoundReport:
     gap: float
 
 
+# relative slack of the certificate's guard: the grid maximum of |q| may read up to alpha (1 + GUARD_SLACK)
+GUARD_SLACK = 1e-9
 # Taylor terms in `_cosine_sum_at`: the least J with (pi/4)^J / J! e^(pi/4) < 2^-53
 _TAYLOR_TERMS = next(
     J for J in range(1, 64) if (math.pi / 4) ** J / math.factorial(J) * math.exp(math.pi / 4) < 2.0**-53
@@ -94,9 +100,10 @@ def build_solution(d: int) -> ExtremalSolution:
     c = sin^2(pi/4N), arcsin(r) = arccos(L(x))/2 - pi/4N for
     r = sqrt(1-c) s^2 / (sqrt(c + (1-c) s^2) + sqrt(c) cos(theta/2)), so
     S(cos theta) = alpha sin(2N arcsin r) / (2 s^2). No term cancels and the
-    nodes avoid theta = 0. One transform gives S, and q = (1 - x) S is formed
-    from S's coefficients, so the certificate checks the polynomial that
-    becomes the kernel.
+    nodes avoid theta = 0. One transform gives S. The solution stores no q:
+    `ExtremalSolution.q` derives (1 - x) S from S on each read, so
+    `verify_equioscillation`, which decides all five conditions of the
+    certificate from that q, checks the polynomial that becomes the kernel.
 
     Raises ArithmeticError unless S(1) = sum(c_k) is 1 within
     tol = u (64 Lambda + 16 (1 + log2 N) ||v||_2), u = 2^-53, where v are
@@ -125,11 +132,10 @@ def build_solution(d: int) -> ExtremalSolution:
     at_one = float(np.sum(S.coeffs))
     if not abs(at_one - 1.0) <= tol:
         raise ArithmeticError(f"S(1) = {at_one!r} is not 1 within {tol:.3g}")
-    q = ChebSeries(_one_minus_x_times(S.coeffs))
     scale = 0.5 * (1.0 + math.cos(math.pi / (2 * N)))
     # L^{-1}(cos(i pi / N)) for i = 1..N; cos(pi) = -1 makes y_N = -1 exact
     y = (np.cos(np.arange(1, N + 1) * (math.pi / N)) + 1.0) / scale - 1.0
-    return ExtremalSolution(degree=d, alpha=alpha, S=S, q=q, alternation_points=y)
+    return ExtremalSolution(degree=d, alpha=alpha, S=S, alternation_points=y)
 
 
 def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -171,42 +177,49 @@ def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def verify_equioscillation(sol: ExtremalSolution, tol: float) -> EquioscillationReport:
-    """Check the alternation values of q and the grid maximum of |(1-x) S(x)|.
+    """Decide the equioscillation certificate of sol from q = (1 - x) S, derived from sol.S.
 
-    Failures are reported, not raised: residuals hold |q(y_i) + alpha (-1)^i|
-    per point, and the report passes iff all residuals are within tol and
-    the grid maximum does not exceed alpha (1 + 1e-9).
+    Failures are reported, not raised. With c the coefficients of sol.q, the
+    report passes iff all five conditions hold:
+    - residuals |q(y_i) + alpha (-1)^i| <= tol at every alternation point;
+    - the guard: the grid maximum of |q| is at most alpha (1 + `GUARD_SLACK`);
+    - |S(1) - 1| <= tol, with S(1) = sum of sol.S's coefficients;
+    - |q(1)| = |sum c_k| <= tol sum |c_k|;
+    - y_N == -1 exactly, where the last alternation point lies by construction.
+    The report carries the residuals and the grid maximum; the other three
+    conditions show only in `passed`.
 
-    q(y_i) = sum_k c_k cos(k theta_i), theta_i = arccos(y_i), for the
-    coefficients c of sol.q, comes from `_cosine_sum_at`: a Taylor model in
-    the offset from the nearest node of a grid of L = `gridsearch.fft_length`
-    of 4 (N + 1) points, J = 17 terms in one batched rfft. Its error is below
+    q(y_i) = sum_k c_k cos(k theta_i), theta_i = arccos(y_i), comes from
+    `_cosine_sum_at`: a Taylor model in the offset from the nearest node of a
+    grid of L = `gridsearch.fft_length` of 4 (N + 1) points, J = 17 terms in
+    one batched rfft. Its error is below
     e^(pi/4) (u ||c||_1 + 7 u (1 + log2 L) sqrt(L) ||c||_2 + 5 J u ||c||_1)
     with u = 2^-53 and ||c||_1 about 2 alpha: 3.4e-12 alpha at N = 4097,
     where it is within 1e-15 alpha of a longdouble sum. Points further than
     `chebyshev.CLAMP_BAND` outside [-1, 1] raise ValueError.
 
-    The grid is theta_j = 2 pi j / L, j = 0..L/2, with L = `gridsearch.fft_length`
-    of 2 (10 N - 1): at least 10 N points from 0 to pi, no wider apart than
-    pi / (10 N - 1). Since (1 - cos theta) S(cos theta) = sum_k c_k cos(k theta)
-    for the coefficients c of (1 - x) S, formed here from sol.S, the grid
-    values are the real part of one zero-padded rfft of c. The transform is of
-    that product and not of S: S's coefficients are O(1/N) and cancel to about
-    alpha/2 near x = -1, so any evaluation from them is off by about
-    eps sum |S_k|, some 1e-9 alpha at N = 4097. Those of (1 - x) S are
-    O(alpha): at N = 4097 the rfft is within 1e-15 alpha of a longdouble sum.
+    The guard's grid is theta_j = 2 pi j / L, j = 0..L/2, with
+    L = `gridsearch.fft_length` of 2 (10 N - 1): at least 10 N points from 0
+    to pi, no wider apart than pi / (10 N - 1). Since
+    (1 - cos theta) S(cos theta) = sum_k c_k cos(k theta), the grid values
+    are the real part of one zero-padded rfft of c. The transform is of q and
+    not of S: S's coefficients are O(1/N) and cancel to about alpha/2 near
+    x = -1, so any evaluation from them is off by about eps sum |S_k|, some
+    1e-9 alpha at N = 4097. Those of q are O(alpha): at N = 4097 the rfft is
+    within 1e-15 alpha of a longdouble sum.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not math.isfinite(tol):
         raise ValueError("tolerance must be finite")
     N = sol.degree + 1
-    signs = (-1.0) ** np.arange(1, N + 1)
+    c = sol.q.coeffs
     theta = np.arccos(_domain(sol.alternation_points))
-    residuals = np.abs(_cosine_sum_at(sol.q.coeffs, theta) + sol.alpha * signs)
-    grid = np.fft.rfft(_one_minus_x_times(sol.S.coeffs), fft_length(2 * (10 * N - 1))).real
-    grid_max = float(np.max(np.abs(grid)))
-    passed = bool(np.all(residuals <= tol)) and grid_max <= sol.alpha * (1.0 + 1e-9)
+    residuals = np.abs(_cosine_sum_at(c, theta) + sol.alpha * (-1.0) ** np.arange(1, N + 1))
+    grid_max = float(np.max(np.abs(np.fft.rfft(c, fft_length(2 * (10 * N - 1))).real)))
+    ends = abs(float(np.sum(sol.S.coeffs)) - 1.0) <= tol and sol.alternation_points[-1] == -1.0
+    ends = ends and abs(float(np.sum(c))) <= tol * float(np.sum(np.abs(c)))
+    passed = bool(np.all(residuals <= tol) and grid_max <= sol.alpha * (1.0 + GUARD_SLACK) and ends)
     return EquioscillationReport(passed, residuals, grid_max, sol.alpha)
 
 

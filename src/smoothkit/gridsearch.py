@@ -85,7 +85,11 @@ def polish(derivs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     on; slope and curvature may share one positive factor per point. A
     bracket shrinks to t on the sign of the slope and takes the Newton step
     t - slope / curv where curv < 0 and the step stays inside, else bisects.
-    It stops once a step is <= 1e-12 (after at most 100 steps).
+    It stops once a step is <= 1e-12 (after at most 100 steps), or at once
+    where the slope is exactly 0 and the Newton step is not finite (curv 0
+    too): there is no direction to move in, and bisecting would walk off a
+    flat maximum. A zero slope with a finite step still bisects where
+    curv >= 0.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -101,7 +105,7 @@ def polish(derivs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
             newton = tl - slope / curv
         ok = (curv < 0) & (newton >= lo[live]) & (newton <= hi[live])
         nxt = np.where(ok, newton, 0.5 * (lo[live] + hi[live]))
-        moving = np.abs(nxt - tl) > 1e-12
+        moving = (np.abs(nxt - tl) > 1e-12) & ((slope != 0) | np.isfinite(newton))
         live = live[moving]
         if live.size == 0 or step == _MAX_STEPS - 1:
             break

@@ -55,21 +55,23 @@ def run_extremal_suite(n_max: int, tol_scale: float) -> list[CheckResult]:
     checks.append(CheckResult("alpha_monotone_decreasing", decreasing, f"d <= {n_max}"))
 
     worst = 0.0
-    equi_ok = True
+    failed = {"guard": [], "residuals": [], "end conditions": []}  # (d, grid_max / alpha - 1) per failing d
     for d in range(n_max + 1):
-        sol = extremal.build_solution(d)
-        report = extremal.verify_equioscillation(sol, tol)
-        equi_ok &= report.passed
-        worst = max(worst, float(np.max(report.residuals)))
-        s_at_one = abs(float(np.sum(sol.S.coeffs)) - 1.0)
-        q_at_one = abs(float(np.sum(sol.q.coeffs)))
-        q_scale = float(np.sum(np.abs(sol.q.coeffs)))
-        equi_ok &= s_at_one <= tol
-        equi_ok &= q_at_one <= tol * q_scale
-        equi_ok &= sol.alternation_points[-1] == -1.0
-    checks.append(
-        CheckResult("equioscillation", equi_ok, f"d <= {n_max}, worst residual {worst:.3g}")
-    )
+        report = extremal.verify_equioscillation(extremal.build_solution(d), tol)
+        residual = float(np.max(report.residuals))
+        worst = max(worst, residual)
+        guard_ok = report.grid_max <= report.alpha * (1.0 + extremal.GUARD_SLACK)
+        # by elimination, a failing d within the guard and tol fails S(1), q(1) or y_N
+        ends_ok = report.passed or not guard_ok or not residual <= tol
+        for name, ok in zip(failed, (guard_ok, residual <= tol, ends_ok)):
+            if not ok:
+                failed[name].append((d, report.grid_max / report.alpha - 1.0))
+    detail = f"d <= {n_max}, worst residual {worst:.3g}"
+    for name, group in failed.items():
+        if group:
+            detail += f"; {name} failed at {len(group)} d from d = {group[0][0]}, "
+            detail += f"largest grid_max/alpha - 1 {max(excess for _, excess in group):.3g}"
+    checks.append(CheckResult("equioscillation", not any(failed.values()), detail))
 
     count_ok = True
     for d in (1, 2, 3, 5, 8, 13):

@@ -208,13 +208,38 @@ class TestResiduals:
         assert float(np.max(np.abs(report.residuals - ref))) <= 1e-13 * sol.alpha
 
     def test_perturbed_q_fails_through_the_residuals(self):
-        sol = build_solution(64)
-        c = sol.q.coeffs.copy()
-        c[3] += 1e-8
-        report = verify_equioscillation(dataclasses.replace(sol, q=ChebSeries(c)), 1e-9)
+        # S = 1 - 6e-10 at d = 0: q(-1) = 2 S is 1.2e-9 low, inside the guard, and S(1) stays within tol
+        sol = build_solution(0)
+        report = verify_equioscillation(dataclasses.replace(sol, S=ChebSeries(sol.S.coeffs * (1 - 6e-10))), 1e-9)
         assert not report.passed
-        assert report.grid_max == verify_equioscillation(sol, 1e-9).grid_max <= sol.alpha * (1 + 1e-9)
+        assert report.grid_max <= sol.alpha * (1 + 1e-9)
         assert float(np.max(report.residuals)) > 1e-9
+
+    def test_moved_s_at_one_fails(self):
+        # S (1 - 2e-9) moves S(1) by 2e-9 > tol, while q shrinks by 2e-9 alpha: residuals and guard pass
+        sol = build_solution(64)
+        report = verify_equioscillation(dataclasses.replace(sol, S=ChebSeries(sol.S.coeffs * (1 - 2e-9))), 1e-9)
+        assert not report.passed
+        assert float(np.max(report.residuals)) <= 1e-12
+        assert report.grid_max <= sol.alpha
+        assert verify_equioscillation(sol, 1e-9).passed
+
+    @pytest.mark.parametrize("shift", [-1e-13, 1e-13])
+    def test_last_point_other_than_minus_one_fails(self, shift):
+        # inside the clamp band the residual at y_N stays tiny, so only y_N == -1 can fail it
+        sol = build_solution(3)
+        y = sol.alternation_points.copy()
+        y[-1] = -1.0 + shift
+        report = verify_equioscillation(dataclasses.replace(sol, alternation_points=y), 1e-9)
+        assert not report.passed
+        assert float(np.max(report.residuals)) <= 1e-12
+
+    def test_q_is_derived_from_s(self):
+        sol = build_solution(7)
+        S = ChebSeries(sol.S.coeffs + np.linspace(0.0, 1e-3, 8))
+        q = dataclasses.replace(sol, S=S).q
+        assert np.array_equal(q.coeffs, extremal._one_minus_x_times(S.coeffs))
+        assert [f.name for f in dataclasses.fields(sol)] == ["degree", "alpha", "S", "alternation_points"]
 
     def test_no_clenshaw(self, monkeypatch):
         calls = []
@@ -229,7 +254,7 @@ class TestResiduals:
         with pytest.raises(ValueError, match="clamp band"):
             verify_equioscillation(dataclasses.replace(sol, alternation_points=y), 1e-9)
         y[-1] = -1.0 - 1e-13
-        assert verify_equioscillation(dataclasses.replace(sol, alternation_points=y), 1e-9).passed
+        assert not verify_equioscillation(dataclasses.replace(sol, alternation_points=y), 1e-9).passed
 
     def test_taylor_terms_are_the_least_below_one_ulp(self):
         J = extremal._TAYLOR_TERMS

@@ -128,10 +128,13 @@ class TestPolish:
     )
     # a local minimum at the start, where a Newton step would stay put
     @example([(-1.0, 1.0, 0.0, 0.0, 1.0, 2.0)])
+    # f = 0: slope and curvature exactly 0, so the Newton step is nan
+    @example([(0.0, 1.0, 0.0, 0.0, 1.0, 2.0)])
     def test_newton_only_where_concave_and_inside(self, cases):
         # f(t) = a cos(w t + phi) + b t is convex on half of each period. The bracket each
         # iterate must stay in is rebuilt from the slopes that `polish` saw; after a point
         # of curvature >= 0 the next iterate is the midpoint, or the polish stops there.
+        # Where slope and curvature are both exactly 0 it stops at once.
         a, w, phi, b, below, above = np.array(cases).T
         calls = []
 
@@ -154,11 +157,37 @@ class TestPolish:
                 steps[i] += 1
                 lo[i] = ti if si > 0 else lo[i]
                 hi[i] = ti if si < 0 else hi[i]
-                if not ci < 0:
+                if si == 0 and ci == 0:
+                    assert t_end[i] == ti
+                elif not ci < 0:
                     bisect[i] = (0.5 * (lo[i] + hi[i]), ti)
         for i, (mid, ti) in bisect.items():
             assert abs(mid - ti) <= 1e-12 or steps[i] == 100
         assert np.all((-below <= t_end) & (t_end <= above))
+
+    def test_stops_on_an_exact_zero_slope_without_a_finite_step(self):
+        # -t^4 peaks at its start t = 0 with curvature 0 there: the step 0 - 0/0 is nan
+        calls = []
+
+        def derivs(live, t):
+            calls.append(t.copy())
+            return -(t**4), -4.0 * t**3, -12.0 * t**2
+
+        values, t = polish(derivs, [-1.0], [0.5])
+        assert len(calls) == 1
+        assert t.tolist() == [0.0] and values.tolist() == [0.0]
+
+    def test_zero_slope_at_a_minimum_still_bisects(self):
+        # t^2 has slope 0 and a finite step at its minimum t = 0; the maximum on [-1, 0.5] is at -1
+        calls = []
+
+        def derivs(live, t):
+            calls.append(t.copy())
+            return t**2, 2.0 * t, np.full(t.size, 2.0)
+
+        values, t = polish(derivs, [-1.0], [0.5])
+        assert calls[1].tolist() == [-0.25]
+        assert abs(t[0] + 1.0) <= 1e-11 and abs(values[0] - 1.0) <= 1e-10
 
 
 def _suppliers(monkeypatch, module, run):
