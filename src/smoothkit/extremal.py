@@ -53,6 +53,7 @@ class EquioscillationReport:
     residuals: np.ndarray
     grid_max: float
     alpha: float
+    failed: tuple[str, ...]  # the failing names among CONDITIONS, in their order
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,8 @@ class LowerBoundReport:
 
 # relative slack of the certificate's guard: the grid maximum of |q| may read up to alpha (1 + GUARD_SLACK)
 GUARD_SLACK = 1e-9
+# the certificate's conditions, as `verify_equioscillation` lists them and reports the failing ones
+CONDITIONS = ("guard", "residuals", "S(1)", "q(1)", "y_N")
 # Taylor terms in `_cosine_sum_at`: the least J with (pi/4)^J / J! e^(pi/4) < 2^-53
 _TAYLOR_TERMS = next(
     J for J in range(1, 64) if (math.pi / 4) ** J / math.factorial(J) * math.exp(math.pi / 4) < 2.0**-53
@@ -186,8 +189,8 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     - |S(1) - 1| <= tol, with S(1) = sum of sol.S's coefficients;
     - |q(1)| = |sum c_k| <= tol sum |c_k|;
     - y_N == -1 exactly, where the last alternation point lies by construction.
-    The report carries the residuals and the grid maximum; the other three
-    conditions show only in `passed`.
+    The report carries the residuals, the grid maximum and the names of the
+    failing conditions, from `CONDITIONS` in that order.
 
     q(y_i) = sum_k c_k cos(k theta_i), theta_i = arccos(y_i), comes from
     `_cosine_sum_at`: a Taylor model in the offset from the nearest node of a
@@ -217,10 +220,15 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     theta = np.arccos(_domain(sol.alternation_points))
     residuals = np.abs(_cosine_sum_at(c, theta) + sol.alpha * (-1.0) ** np.arange(1, N + 1))
     grid_max = float(np.max(np.abs(np.fft.rfft(c, fft_length(2 * (10 * N - 1))).real)))
-    ends = abs(float(np.sum(sol.S.coeffs)) - 1.0) <= tol and sol.alternation_points[-1] == -1.0
-    ends = ends and abs(float(np.sum(c))) <= tol * float(np.sum(np.abs(c)))
-    passed = bool(np.all(residuals <= tol) and grid_max <= sol.alpha * (1.0 + GUARD_SLACK) and ends)
-    return EquioscillationReport(passed, residuals, grid_max, sol.alpha)
+    holds = (
+        grid_max <= sol.alpha * (1.0 + GUARD_SLACK),
+        bool(np.all(residuals <= tol)),
+        abs(float(np.sum(sol.S.coeffs)) - 1.0) <= tol,
+        abs(float(np.sum(c))) <= tol * float(np.sum(np.abs(c))),
+        sol.alternation_points[-1] == -1.0,
+    )
+    failed = tuple(name for name, ok in zip(CONDITIONS, holds) if not ok)
+    return EquioscillationReport(not failed, residuals, grid_max, sol.alpha, failed)
 
 
 def weighted_max(p: ChebSeries) -> tuple[float, float]:

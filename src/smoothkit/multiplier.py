@@ -2,9 +2,10 @@
 
 For a kernel u and difference order m, the map f -> D^m(u * f) on square-
 summable sequences has operator norm equal to the maximum over frequencies
-of (2 |sin(xi/2)|)^m |u_hat(xi)|. The maximum of this trigonometric
-polynomial is located on a fixed dense grid, sampled by one FFT, and
-polished by batched Newton steps, so results are deterministic. For
+of (2 |sin(xi/2)|)^m |u_hat(xi)|, the modulus of the transform of the m-th
+difference of the weights. That maximum is located on a fixed dense grid,
+sampled by one FFT of the differenced weights, and polished by batched
+Newton steps on the same sequence, so results are deterministic. For
 symmetric kernels and m = 2 the same quantity can be computed as
 2 max |(1-x) p_u(x)| over [-1, 1] by Clenshaw evaluation at the same
 frequencies, giving an independent cross-check path; both grids follow
@@ -70,75 +71,103 @@ def symbol_magnitude(u: SymmetricKernel | GeneralKernel, m: int, xi):
 def operator_norm(u: SymmetricKernel | GeneralKernel, m: int) -> MultiplierBound:
     """Sharp constant of the smoothing inequality, found on the frequency torus.
 
-    The symbol is a trigonometric polynomial of degree n + m, so it is
+    The symbol is the modulus of one transform. The weights w, zero-padded
+    by m on the left and m + (m mod 2) on the right, go through m steps
+    v <- v[1:] / 2 - v[:-1] / 2, which leave v = 2^-m (Delta^m w) of odd
+    length, with DFT ((e^(i xi) - 1) / 2)^m u_hat; so the symbol is
+    2^m |V(xi)|, V the DFT of v. Each halving is exact, so |v| <= max |w|
+    and nothing overflows before the final, exact factor 2^m. The symbol is
+    the modulus of a trigonometric polynomial of degree n + m, so |V| is
     sampled at `gridsearch.sample_count(n + m)` frequencies on [0, pi]: one
-    real FFT of the weights zero-padded to twice that count less two, the
-    half grid of which suffices because real weights make the symbol even.
+    real FFT of v zero-padded to twice that count less two, the half grid
+    of which suffices because real weights make the symbol even.
     `gridsearch.maximize` owns peak selection, brackets and ties (to the
     smallest frequency); `_polish` supplies the derivatives that polish to
-    1e-12 in xi. The argmax is clipped to pi, which the last node can pass
-    by an ulp. Orders run from 1 to MAX_ORDER; a maximum past the largest
-    double raises ValueError.
+    1e-12 in xi. At xi = pi the symbol is 2^m |sum (-1)^k w_k|, taken from
+    one `math.fsum` of the alternating weights scaled by a power of two, so
+    a maximum there is correctly rounded. The argmax is clipped to pi,
+    which the last node can pass by an ulp. Orders run from 1 to MAX_ORDER;
+    a maximum past the largest double raises ValueError.
     """
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"difference order must be in [1, {MAX_ORDER}]")
     w = full_weights(u)
+    v = np.concatenate((np.zeros(m), w, np.zeros(m + m % 2)))
+    for _ in range(m):
+        v = 0.5 * v[1:] - 0.5 * v[:-1]
     count = 2 * (sample_count(u.half_width + m) - 1)
     xi = np.arange(count // 2 + 1) * (2.0 * math.pi / count)
+    # 2^shift > w.size, so no partial sum of the alternating scaled weights overflows in `math.fsum`
+    shift = w.size.bit_length()
+    scaled = np.ldexp(w, -shift)
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = (2.0 * np.sin(0.5 * xi)) ** m * np.abs(np.fft.rfft(w, count))
-        value, argmax = maximize(xi, samples, lambda nodes, lo, hi: _polish(w, m, count, nodes))
+        samples = np.abs(np.fft.rfft(v, count))
+        at_pi = np.ldexp(abs(math.fsum(scaled[::2].tolist() + (-scaled[1::2]).tolist())), m + shift)
+        value, argmax = maximize(xi, samples, lambda nodes, lo, hi: _polish(v, m, count, nodes, at_pi))
     if not math.isfinite(value):
         raise ValueError(f"the order-{m} symbol of this kernel overflows double precision")
     return MultiplierBound(value, min(argmax, math.pi), m, "torus_grid")
 
 
-def _polish(w: np.ndarray, m: int, count: int, nodes: np.ndarray):
+def _polish(v: np.ndarray, m: int, count: int, nodes: np.ndarray, at_pi: float):
     """The symbol's derivative function for `gridsearch.polish` at the given grid nodes.
 
-    It only supplies the symbol's values and the slope and curvature of its
-    square g = s^m |u_hat|^2, s = 2 - 2 cos xi, both divided by s^(m-2) so
-    they stay finite at xi = 0 (a positive factor elsewhere, which leaves
-    the Newton step unchanged); `gridsearch.maximize` picks the nodes,
-    brackets them and resolves ties, and `gridsearch.polish` takes the steps.
+    v is `operator_norm`'s 2^-m (Delta^m w), of odd length 2 N + 1. This
+    supplies the symbol 2^m |V| and the slope Re(V' conj V) and curvature
+    |V'|^2 + Re(V'' conj V) of |V|^2 / 2, V the DFT of v, the form
+    `asymptotics.compute_mu` uses; `gridsearch.maximize` picks the nodes,
+    brackets them and resolves ties, and `gridsearch.polish` takes the
+    steps. At the grid's last node, xi = pi, an evaluation at t = 0
+    returns at_pi, the exactly summed value there.
 
-    Real weights make exp(+i k xi) the conjugate of exp(-i k xi), so with
-    a_k = w_k + w_-k and b_k = w_k - w_-k for k = 1..n the symbol is summed
-    over the half spectrum in real arithmetic:
-    u_hat = w_0 + sum a_k cos k xi - i sum b_k sin k xi,
-    u_hat' = -sum k a_k sin k xi - i sum k b_k cos k xi and
-    u_hat'' = -sum k^2 a_k cos k xi + i sum k^2 b_k sin k xi. A frequency is
+    Real v makes exp(+i k xi) the conjugate of exp(-i k xi), so with
+    a_k = v_k + v_-k and b_k = v_k - v_-k for k = 1..N, centred on v_0,
+    V is summed over the half spectrum in real arithmetic:
+    V = v_0 + sum a_k cos k xi - i sum b_k sin k xi,
+    V' = -sum k a_k sin k xi - i sum k b_k cos k xi and
+    V'' = -sum k^2 a_k cos k xi + i sum k^2 b_k sin k xi. A frequency is
     written xi = 2 pi j / count + t with j the node, and the angle k xi as
     c_hi r + c_lo r + t k with r = (k j) mod count reduced in integers; each
     step takes one cos and one sin of that angle, and the six sums are two
-    (brackets, 3, n) elementwise products reduced by numpy's pairwise
+    (brackets, 3, N) elementwise products reduced by numpy's pairwise
     summation, so the result does not depend on the BLAS build.
 
-    Each polished value is within c u sum |w_k| (2 |sin(xi*/2)|)^m of the
-    exact symbol at its reported frequency xi*, u = 2^-53, to first order,
-    with c = 23 + D + 10 m. The angle is off by at most (4 + 1/4) pi u:
-    c_hi r is exact for r < 2^29, c_lo r is below 2^-21 and |t k| <= pi / 8
-    (|t| is at most one spacing and count >= 16 n), so rounding
-    c_hi r + c_lo r costs at most 2 pi u, t k at most pi u / 8 and their sum
-    at most (2 pi + pi / 8) u. With cos and sin within one ulp, that phase
-    error, the roundings of a_k, b_k and their products and the final add
-    of w_0 move u_hat by at most (4.25 pi + sqrt 2 + 3) u per unit of
-    |w_k| + |w_-k|, since |a_k cos - i b_k sin| <= |w_k| + |w_-k|. numpy's pairwise summation
-    (eight accumulators up to 128 terms, halving above) adds D u sum |w_k|,
-    D its depth: at most 24 for n <= 128 and 24 + ceil(log2(n / 128))
-    above. The modulus, sin, power and product cost (5 + 2 m) u relative.
+    Each polished value is within (19 + D) u sum |2^m v_k| of 2^m |V| at
+    its reported frequency xi*, u = 2^-53, to first order. The angle is off
+    by at most (4 + 1/4) pi u: c_hi r is exact for r < 2^29, c_lo r is
+    below 2^-21 and |t k| <= pi / 8 (|t| is at most one spacing and
+    count >= 16 (n + m) >= 16 N), so rounding c_hi r + c_lo r costs at most
+    2 pi u, t k at most pi u / 8 and their sum at most (2 pi + pi / 8) u.
+    With cos and sin within one ulp, that phase error, the roundings of
+    a_k, b_k and their products and the final add of v_0 move V by at most
+    (4.25 pi + sqrt 2 + 3) u per unit of |v_k| + |v_-k|, since
+    |a_k cos - i b_k sin| <= |v_k| + |v_-k|. numpy's pairwise summation
+    (eight accumulators up to 128 terms, halving above) adds D u sum |v_k|,
+    D its depth: at most 24 for N <= 128 and 24 + ceil(log2(N / 128))
+    above. The modulus costs one more u relative and the factor 2^m none.
     Last, xi* is at most 4 u (xi* + h) from the frequency the phases
-    describe, h the spacing; near a maximum of g, where
-    |u_hat|' / |u_hat| = -m cot(xi / 2) / 2, and with xi* >= h, that moves
-    |u_hat| by at most 8 m u |u_hat|.
+    describe, h the spacing, and |V| is stationary at a polished maximum,
+    so that moves it only to second order.
+
+    v itself is 2^-m (Delta^m w) up to the rounding of the differences:
+    each halving is exact and each subtraction rounds once, so step j of m
+    moves the symbol by at most u (2 |sin(xi*/2)|)^(m - j) sum |2^j v_k^(j)|,
+    v^(j) the sequence after j steps. That is 0 where the subtractions are
+    exact, as they are (Sterbenz) between neighbours within a factor 2 of
+    each other, as in the interior of a smooth kernel. sum |2^m v_k| stays
+    near the value: at most 2.0 times it for the four named families,
+    measured at n <= 64 and seven n from 100 to 4096 with m in
+    {1, 2, 3, 5}. Summing u_hat first and applying the factor
+    (2 sin(xi/2))^m after would leave an error scale of
+    sum |w_k| (2 |sin(xi*/2)|)^m instead, up to 2.2e7 times the value for
+    smooth kernels at n = 4096.
     """
-    n = (w.size - 1) // 2
-    k = np.arange(1, n + 1)
-    pos, neg = w[n + 1 :], w[:n][::-1]
+    N = (v.size - 1) // 2
+    k = np.arange(1, N + 1)
+    pos, neg = v[N + 1 :], v[:N][::-1]
     a, b = pos + neg, pos - neg
-    kk = k * k
-    cos_terms = np.stack([a, k * b, kk * a])
-    sin_terms = np.stack([b, k * a, kk * b])
+    cos_terms = np.stack([a, k * b, k * k * a])
+    sin_terms = np.stack([b, k * a, k * k * b])
     h = 2.0 * math.pi / count
     # 2 pi / count = c_hi + c_lo with c_hi * r exact for r < 2^29, so the
     # rounding of each phase angle is unbiased rather than growing with r
@@ -146,25 +175,17 @@ def _polish(w: np.ndarray, m: int, count: int, nodes: np.ndarray):
     c_lo = ((2.0 * math.pi - c_hi * count) + _TWO_PI_LO) / count
     r = np.multiply.outer(nodes, k) % count
     base = c_hi * r + c_lo * r
+    last = nodes == count // 2
 
     def derivs(live, tl):
         angle = base[live] + np.multiply.outer(tl, k)
         cs = (np.cos(angle)[:, None, :] * cos_terms).sum(axis=2)
         sn = (np.sin(angle)[:, None, :] * sin_terms).sum(axis=2)
-        re0, im0 = w[n] + cs[:, 0], -sn[:, 0]
+        re0, im0 = v[N] + cs[:, 0], -sn[:, 0]
         re1, im1 = -sn[:, 1], -cs[:, 1]
         re2, im2 = -cs[:, 2], sn[:, 2]
-        xi = nodes[live] * h + tl
-        sin_half = np.sin(0.5 * xi)
-        # s and a0 = |u_hat|^2 with their derivatives; g1 and g2 are
-        # g' / s^(m-1) and g'' / s^(m-2), so s g1 and g2 share s^(2-m)
-        s, ds, dds = 4.0 * sin_half**2, 2.0 * np.sin(xi), 2.0 * np.cos(xi)
-        a0 = re0**2 + im0**2
-        a1 = 2.0 * (re0 * re1 + im0 * im1)
-        a2 = 2.0 * (re1**2 + im1**2 + re0 * re2 + im0 * im2)
-        g1 = m * ds * a0 + s * a1
-        g2 = m * (m - 1) * ds * ds * a0 + m * s * (dds * a0 + 2.0 * ds * a1) + s * s * a2
-        return (2.0 * sin_half) ** m * np.hypot(re0, im0), s * g1, g2
+        value = np.where(last[live] & (tl == 0.0), at_pi, np.ldexp(np.hypot(re0, im0), m))
+        return value, re0 * re1 + im0 * im1, re1**2 + im1**2 + re0 * re2 + im0 * im2
 
     return derivs
 

@@ -55,17 +55,13 @@ def run_extremal_suite(n_max: int, tol_scale: float) -> list[CheckResult]:
     checks.append(CheckResult("alpha_monotone_decreasing", decreasing, f"d <= {n_max}"))
 
     worst = 0.0
-    failed = {"guard": [], "residuals": [], "end conditions": []}  # (d, grid_max / alpha - 1) per failing d
+    # (d, grid_max / alpha - 1) per failing d, grouped by the condition it fails
+    failed = {name: [] for name in extremal.CONDITIONS}
     for d in range(n_max + 1):
         report = extremal.verify_equioscillation(extremal.build_solution(d), tol)
-        residual = float(np.max(report.residuals))
-        worst = max(worst, residual)
-        guard_ok = report.grid_max <= report.alpha * (1.0 + extremal.GUARD_SLACK)
-        # by elimination, a failing d within the guard and tol fails S(1), q(1) or y_N
-        ends_ok = report.passed or not guard_ok or not residual <= tol
-        for name, ok in zip(failed, (guard_ok, residual <= tol, ends_ok)):
-            if not ok:
-                failed[name].append((d, report.grid_max / report.alpha - 1.0))
+        worst = max(worst, float(np.max(report.residuals)))
+        for name in report.failed:
+            failed[name].append((d, report.grid_max / report.alpha - 1.0))
     detail = f"d <= {n_max}, worst residual {worst:.3g}"
     for name, group in failed.items():
         if group:

@@ -234,6 +234,30 @@ class TestResiduals:
         assert not report.passed
         assert float(np.max(report.residuals)) <= 1e-12
 
+    @staticmethod
+    def scaled(factor):
+        return lambda sol: dataclasses.replace(sol, S=ChebSeries(sol.S.coeffs * factor))
+
+    @staticmethod
+    def last_point(y_n):
+        return lambda sol: dataclasses.replace(sol, alternation_points=np.append(sol.alternation_points[:-1], y_n))
+
+    @pytest.mark.parametrize(
+        "d, change, failed",
+        [
+            (5, scaled(1.0), ()),
+            (0, scaled(1 - 6e-10), ("residuals",)),
+            (64, scaled(1 - 2e-9), ("S(1)",)),
+            (9, scaled(1 + 1e-8), ("guard", "S(1)")),
+            (3, last_point(-1 - 1e-13), ("y_N",)),
+        ],
+    )
+    def test_report_names_the_failed_conditions(self, d, change, failed):
+        # the cases of the tests above, each named by the conditions it fails, in extremal.CONDITIONS' order
+        report = verify_equioscillation(change(build_solution(d)), 1e-9)
+        assert report.failed == failed
+        assert report.passed == (failed == ())
+
     def test_q_is_derived_from_s(self):
         sol = build_solution(7)
         S = ChebSeries(sol.S.coeffs + np.linspace(0.0, 1e-3, 8))

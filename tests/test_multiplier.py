@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -240,21 +241,29 @@ def _pairwise_depth_bound(n):
 class TestPolishAccuracy:
     """operator_norm against a longdouble direct sum at the returned argmax.
 
-    The bound is `_polish`'s: c u sum |w_k| (2 |sin(xi*/2)|)^m with
-    c = 23 + D + 10 m, D the pairwise-summation depth. The returned value may
-    come from another peak tied with the argmax's within 1e-12 relative
-    (`gridsearch.resolve_ties`), so that band is added.
+    The bound is `_polish`'s: (19 + D) u sum |2^m v_k| for v = 2^-m (Delta^m w)
+    of half width N, D the pairwise-summation depth of N terms, plus the
+    rounding of the differences, u (2 |sin(xi*/2)|)^(m - j) sum |2^j v_k^(j)|
+    for each step j. The returned value may come from another peak tied with
+    the argmax's within 1e-12 relative (`gridsearch.resolve_ties`), so that
+    band is added.
     """
 
     @staticmethod
     def check(u, m):
         bound = operator_norm(u, m)
         w = full_weights(u)
-        c = 23 + _pairwise_depth_bound(u.half_width) + 10 * m
-        scale = np.sum(np.abs(w)) * (2.0 * abs(math.sin(bound.argmax_xi / 2))) ** m
+        sine = 2.0 * abs(math.sin(bound.argmax_xi / 2))
+        v = np.concatenate((np.zeros(m), w, np.zeros(m + m % 2)))
+        differencing = 0.0
+        for j in range(1, m + 1):
+            v = 0.5 * v[1:] - 0.5 * v[:-1]
+            differencing += U * sine ** (m - j) * 2.0**j * np.sum(np.abs(v))
+        c = 19 + _pairwise_depth_bound((v.size - 1) // 2)
+        scale = 2.0**m * np.sum(np.abs(v))
         ref = symbol_longdouble(w, m, bound.argmax_xi)
         err = float(abs(np.longdouble(bound.value) - ref))
-        assert err <= c * U * scale + 1e-12 * bound.value, (m, err / (U * scale))
+        assert err <= c * U * scale + differencing + 1e-12 * bound.value, (m, err / (U * scale))
 
     @pytest.mark.parametrize("n", [1, 64, 512, 2048, 4096])
     @pytest.mark.parametrize("family", [constant_kernel, triangle_kernel, epanechnikov_kernel, optimal_kernel])
@@ -269,6 +278,35 @@ class TestPolishAccuracy:
             u = random_general(np.random.default_rng([n, seed]), n)
             for m in (1, 2, 3, 5):
                 self.check(u, m)
+
+
+class TestExactAtPi:
+    """A maximum at xi = pi is 2^m |sum (-1)^k w_k|, correctly rounded."""
+
+    @pytest.mark.parametrize(
+        "family, n, m",
+        [
+            (epanechnikov_kernel, 4096, 3),
+            (epanechnikov_kernel, 4096, 5),
+            (optimal_kernel, 4096, 3),
+            (optimal_kernel, 4096, 5),
+            (constant_kernel, 4096, 2),
+            # this grid's last node is an ulp past pi
+            (triangle_kernel, 18, 3),
+        ],
+    )
+    def test_value_is_the_exact_alternating_sum(self, family, n, m):
+        w = full_weights(family(n)).tolist()
+        exact = abs(sum(Fraction(x) * (-1) ** k for k, x in enumerate(w)))
+        bound = operator_norm(family(n), m)
+        assert bound.argmax_xi == math.pi
+        assert bound.value == float(exact) * 2.0**m
+
+    def test_overflowing_alternating_sum_is_an_error(self):
+        # the alternating half weights sum past the largest double; the scaled sum does not
+        u = GeneralKernel(2, [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.0])
+        with pytest.raises(ValueError, match="order-1 symbol of this kernel overflows double precision"):
+            operator_norm(u, 1)
 
 
 class TestPolynomialPath:
