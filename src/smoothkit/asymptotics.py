@@ -112,7 +112,7 @@ def verify_identity(n: int, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr >= 1.0):
         raise ValueError("x must be strictly below 1")
-    if np.any(arr < -1.0):
+    if not np.all(arr >= -1.0):
         raise ValueError("x must lie in [-1, 1)")
     theta = np.arccos(arr)
     lhs = (1.0 - arr) * clenshaw_eval(epanechnikov_series(n), arr)
@@ -132,7 +132,7 @@ def beat_bound_check(n: int, x) -> bool:
     if n < 1:
         raise ValueError("order must be at least 1")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr >= 1.0) or np.any(arr < -1.0):
+    if not np.all((arr >= -1.0) & (arr < 1.0)):
         raise ValueError("x must lie in [-1, 1)")
     theta = np.arccos(arr)
     beat = 2.0 * np.abs(np.sin((2 * n - 1) * theta / 2.0) * np.sin(theta / 2.0))

@@ -45,7 +45,8 @@ class ChebSeries:
 
 def _domain(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + CLAMP_BAND):
+    # phrased so that nan fails too
+    if not np.all(np.abs(arr) <= 1.0 + CLAMP_BAND):
         raise ValueError("evaluation point outside [-1, 1] beyond the clamp band")
     return np.clip(arr, -1.0, 1.0)
 
@@ -83,6 +84,7 @@ def transform(values) -> ChebSeries:
     degree <= M-1 sampled at the M nodes is recovered to roundoff. It is one
     complex FFT of the even-indexed samples followed by the odd-indexed ones
     reversed: c_k = (2/M) Re(exp(-i pi k / 2M) V_k) (Makhoul, IEEE TASSP 1980).
+    Samples so large that this overflows raise ValueError.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.ndim != 1 or v.size == 0:
@@ -90,8 +92,12 @@ def transform(values) -> ChebSeries:
     if not np.all(np.isfinite(v)):
         raise ValueError("samples must be finite")
     M = v.size
-    V = np.fft.fft(np.concatenate([v[::2], v[1::2][::-1]]))
-    c = (np.exp(-0.5j * np.pi / M * np.arange(M)) * V).real * (2.0 / M)
+    try:
+        with np.errstate(over="raise"):
+            V = np.fft.fft(np.concatenate([v[::2], v[1::2][::-1]]))
+            c = (np.exp(-0.5j * np.pi / M * np.arange(M)) * V).real * (2.0 / M)
+    except FloatingPointError:
+        raise ValueError("samples overflow the transform's FFT") from None
     c[0] *= 0.5
     return ChebSeries(c)
 

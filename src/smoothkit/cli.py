@@ -29,8 +29,6 @@ EXIT_INTERNAL = 4
 
 KERNEL_TYPES = ("optimal", "epanechnikov", "constant", "triangle")
 
-TOL_SCALE_ENV = "SMOOTHKIT_TOL_SCALE"
-
 
 class UsageError(Exception):
     pass
@@ -141,19 +139,8 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw = os.environ.get(TOL_SCALE_ENV)
-    tol_scale = 1.0
-    if raw:
-        try:
-            tol_scale = float(raw)
-        except ValueError:
-            raise UsageError(f"{TOL_SCALE_ENV} must be a number, got {raw!r}") from None
-        if tol_scale <= 0:
-            raise UsageError(f"{TOL_SCALE_ENV} must be positive")
-        if not math.isfinite(tol_scale):
-            raise UsageError(f"{TOL_SCALE_ENV} must be finite, got {raw!r}")
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
-    summary = suites.run_suites(names, n_max=args.n_max, tol_scale=tol_scale)
+    summary = suites.run_suites(names, n_max=args.n_max)
     _print(json.dumps(summary, indent=2) + "\n", args.output)
     return EXIT_OK if summary["all_passed"] else EXIT_VERIFY
 

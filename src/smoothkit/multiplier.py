@@ -97,28 +97,26 @@ def operator_norm(u: SymmetricKernel | GeneralKernel, m: int) -> MultiplierBound
         v = 0.5 * v[1:] - 0.5 * v[:-1]
     count = 2 * (sample_count(u.half_width + m) - 1)
     xi = np.arange(count // 2 + 1) * (2.0 * math.pi / count)
-    # 2^shift > w.size, so no partial sum of the alternating scaled weights overflows in `math.fsum`
-    shift = w.size.bit_length()
-    scaled = np.ldexp(w, -shift)
     with np.errstate(over="ignore", invalid="ignore"):
         samples = np.abs(np.fft.rfft(v, count))
-        at_pi = np.ldexp(abs(math.fsum(scaled[::2].tolist() + (-scaled[1::2]).tolist())), m + shift)
-        value, argmax = maximize(xi, samples, lambda nodes, lo, hi: _polish(v, m, count, nodes, at_pi))
+        value, argmax = maximize(xi, samples, lambda nodes, lo, hi: _polish(w, v, m, count, nodes))
     if not math.isfinite(value):
         raise ValueError(f"the order-{m} symbol of this kernel overflows double precision")
     return MultiplierBound(value, min(argmax, math.pi), m, "torus_grid")
 
 
-def _polish(v: np.ndarray, m: int, count: int, nodes: np.ndarray, at_pi: float):
+def _polish(w: np.ndarray, v: np.ndarray, m: int, count: int, nodes: np.ndarray):
     """The symbol's derivative function for `gridsearch.polish` at the given grid nodes.
 
-    v is `operator_norm`'s 2^-m (Delta^m w), of odd length 2 N + 1. This
-    supplies the symbol 2^m |V| and the slope Re(V' conj V) and curvature
-    |V'|^2 + Re(V'' conj V) of |V|^2 / 2, V the DFT of v, the form
-    `asymptotics.compute_mu` uses; `gridsearch.maximize` picks the nodes,
-    brackets them and resolves ties, and `gridsearch.polish` takes the
-    steps. At the grid's last node, xi = pi, an evaluation at t = 0
-    returns at_pi, the exactly summed value there.
+    w are the full weights and v is `operator_norm`'s 2^-m (Delta^m w), of
+    odd length 2 N + 1. This supplies the symbol 2^m |V| and the slope
+    Re(V' conj V) and curvature |V'|^2 + Re(V'' conj V) of |V|^2 / 2, V
+    the DFT of v, the form `asymptotics.compute_mu` uses;
+    `gridsearch.maximize` picks the nodes, brackets them and resolves
+    ties, and `gridsearch.polish` takes the steps. At the grid's last
+    node, xi = pi, an evaluation at t = 0 returns 2^m |sum (-1)^k w_k|
+    from one `math.fsum`, summed only when that node is among the given
+    ones.
 
     Real v makes exp(+i k xi) the conjugate of exp(-i k xi), so with
     a_k = v_k + v_-k and b_k = v_k - v_-k for k = 1..N, centred on v_0,
@@ -176,6 +174,12 @@ def _polish(v: np.ndarray, m: int, count: int, nodes: np.ndarray, at_pi: float):
     r = np.multiply.outer(nodes, k) % count
     base = c_hi * r + c_lo * r
     last = nodes == count // 2
+    at_pi = math.nan  # read only where `last` holds
+    if last.any():
+        # 2^shift > w.size, so no partial sum of the alternating scaled weights overflows in `math.fsum`
+        shift = w.size.bit_length()
+        scaled = np.ldexp(w, -shift)
+        at_pi = np.ldexp(abs(math.fsum(scaled[::2].tolist() + (-scaled[1::2]).tolist())), m + shift)
 
     def derivs(live, tl):
         angle = base[live] + np.multiply.outer(tl, k)

@@ -302,6 +302,15 @@ class TestExactAtPi:
         assert bound.argmax_xi == math.pi
         assert bound.value == float(exact) * 2.0**m
 
+    @pytest.mark.parametrize("family, at_pi", [(epanechnikov_kernel, False), (constant_kernel, True)])
+    def test_exact_sum_runs_only_for_a_bracket_at_pi(self, monkeypatch, family, at_pi):
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+        bound = operator_norm(family(2048), 2)
+        assert (bound.argmax_xi == math.pi) is at_pi
+        assert (len(calls) > 0) is at_pi
+
     def test_overflowing_alternating_sum_is_an_error(self):
         # the alternating half weights sum past the largest double; the scaled sum does not
         u = GeneralKernel(2, [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.0])

@@ -62,6 +62,7 @@ def _scaled_at(degrees, scale):
         # S (1 - 6e-10) at d = 0 shrinks q(-1) by 1.2e-9: the residuals fail alone
         ({0}, 1 - 6e-10, "; residuals failed at 1 d from d = 0, largest grid_max/alpha - 1 -6e-10"),
     ],
+    ids=["guard_and_S1_at_5_and_9", "three_conditions_at_0", "residuals_alone_at_0"],
 )
 def test_failing_detail_names_the_condition(monkeypatch, degrees, scale, expected):
     monkeypatch.setattr(extremal, "build_solution", _scaled_at(degrees, scale))
