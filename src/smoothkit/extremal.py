@@ -65,6 +65,7 @@ class EquioscillationReport:
     residuals: np.ndarray
     grid_max: float
     alpha: float
+    measures: tuple[float, float, float]  # one per name in CONDITIONS, in their order
     failed: tuple[str, ...]  # the failing names among CONDITIONS, in their order
 
     @property
@@ -80,8 +81,6 @@ class LowerBoundReport:
     gap: float
 
 
-# relative slack of the certificate's guard: the grid maximum of |q| may read up to alpha (1 + GUARD_SLACK)
-GUARD_SLACK = 1e-9
 # the certificate's conditions, as `verify_equioscillation` lists them and reports the failing ones
 CONDITIONS = ("guard", "residuals", "S(1)")
 # Taylor terms in `_cosine_sum_at`: the least J with (pi/4)^J / J! e^(pi/4) < 2^-53
@@ -196,15 +195,19 @@ def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def verify_equioscillation(sol: ExtremalSolution, tol: float) -> EquioscillationReport:
     """Decide the equioscillation certificate of sol from q = (1 - x) S, derived from sol.S.
 
-    Failures are reported, not raised. With c the coefficients of sol.q, the
-    report passes iff all three conditions hold:
-    - the guard: the grid maximum of |q| is at most alpha (1 + `GUARD_SLACK`);
-    - residuals |q(y_i) + alpha (-1)^i| <= tol at every alternation point
-      y_i of sol, which lie in [-1, 1) with y_N = -1 exactly;
-    - |S(1) - 1| <= tol, with S(1) = sum of sol.S's coefficients.
-    The report carries the residuals, the grid maximum and the names of the
-    failing conditions, from `CONDITIONS` in that order. q(1) = 0 needs no
-    condition: the coefficients of (1 - x) p sum to sum(p_k) - sum(p_k).
+    Failures are reported, not raised. Each of the three conditions in
+    `CONDITIONS` has one measure, and it holds iff its measure is at most
+    tol (a nan measure fails). With c the coefficients of sol.q:
+    - the guard: grid_max / alpha - 1, relative, with grid_max the grid
+      maximum of |q|;
+    - the residuals: the largest |q(y_i) + alpha (-1)^i| over the
+      alternation points y_i of sol, which lie in [-1, 1) with y_N = -1
+      exactly; absolute;
+    - S(1): |S(1) - 1|, with S(1) the sum of sol.S's coefficients; absolute.
+    The report carries the residuals, the grid maximum, the three measures
+    in `CONDITIONS` order and the names of the failing conditions, in that
+    order too; it passes iff none fails. q(1) = 0 needs no condition: the
+    coefficients of (1 - x) p sum to sum(p_k) - sum(p_k).
 
     q(y_i) = sum_k c_k cos(k theta_i), theta_i = arccos(y_i), comes from
     `_cosine_sum_at`: a Taylor model in the offset from the nearest node of a
@@ -234,13 +237,13 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     theta = np.arccos(sol.alternation_points)
     residuals = np.abs(_cosine_sum_at(c, theta) + alpha * (-1.0) ** np.arange(1, N + 1))
     grid_max = float(np.max(np.abs(np.fft.rfft(c, fft_length(2 * (10 * N - 1))).real)))
-    holds = (
-        grid_max <= alpha * (1.0 + GUARD_SLACK),
-        bool(np.all(residuals <= tol)),
-        abs(float(np.sum(sol.S.coeffs)) - 1.0) <= tol,
+    measures = (
+        grid_max / alpha - 1.0,
+        float(np.max(residuals)),
+        abs(float(np.sum(sol.S.coeffs)) - 1.0),
     )
-    failed = tuple(name for name, ok in zip(CONDITIONS, holds) if not ok)
-    return EquioscillationReport(residuals, grid_max, alpha, failed)
+    failed = tuple(name for name, value in zip(CONDITIONS, measures) if not value <= tol)
+    return EquioscillationReport(residuals, grid_max, alpha, measures, failed)
 
 
 def weighted_max(p: ChebSeries) -> tuple[float, float]:

@@ -53,26 +53,22 @@ def run_extremal_suite(n_max: int) -> list[CheckResult]:
     decreasing = all(a > b for a, b in zip(alphas, alphas[1:]))
     checks.append(CheckResult("alpha_monotone_decreasing", decreasing, f"d <= {n_max}"))
 
-    # each certificate condition's measure, as the detail labels it, from the solution and its report
-    measures = {
-        "guard": ("grid_max/alpha - 1", lambda sol, report: report.grid_max / report.alpha - 1.0),
-        "residuals": ("residual", lambda sol, report: float(np.max(report.residuals))),
-        "S(1)": ("|S(1) - 1|", lambda sol, report: abs(float(np.sum(sol.S.coeffs)) - 1.0)),
-    }
+    # each certificate condition's measure, as the detail labels it
+    labels = {"guard": "grid_max/alpha - 1", "residuals": "residual", "S(1)": "|S(1) - 1|"}
     worst = 0.0
     # (d, measure) per failing d, grouped by the condition it fails
     failed = {name: [] for name in extremal.CONDITIONS}
     for d in range(n_max + 1):
-        sol = extremal.build_solution(d)
-        report = extremal.verify_equioscillation(sol, 1e-9)
-        worst = max(worst, float(np.max(report.residuals)))
-        for name in report.failed:
-            failed[name].append((d, measures[name][1](sol, report)))
+        report = extremal.verify_equioscillation(extremal.build_solution(d), 1e-9)
+        worst = max(worst, report.measures[1])
+        for name, value in zip(extremal.CONDITIONS, report.measures):
+            if name in report.failed:
+                failed[name].append((d, value))
     detail = f"d <= {n_max}, worst residual {worst:.3g}"
     for name, group in failed.items():
         if group:
             detail += f"; {name} failed at {len(group)} d from d = {group[0][0]}, "
-            detail += f"largest {measures[name][0]} {max(value for _, value in group):.3g}"
+            detail += f"largest {labels[name]} {max(value for _, value in group):.3g}"
     checks.append(CheckResult("equioscillation", not any(failed.values()), detail))
 
     count_ok = True

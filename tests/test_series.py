@@ -2,6 +2,8 @@ import csv
 import io
 import itertools
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -489,6 +491,53 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_csv(tmp_path / "absent.csv", "value")
+
+    def test_labels_of_a_file_that_grew_after_its_values(self, tmp_path, monkeypatch):
+        path = tmp_path / "grows.csv"
+        path.write_text("label,value\na,1\nb,2\n")
+        values = CsvSource.values
+
+        def values_then_append(source, column):
+            out = values(source, column)
+            with open(path, "a") as fh:
+                fh.write("c,3\n")
+            return out
+
+        monkeypatch.setattr(CsvSource, "values", values_then_append)
+        with pytest.raises(CsvFormatError, match="changed while it was read$"):
+            read_csv(path, "value", label_column="label")
+
+    @pytest.fixture
+    def failing_spool(self, monkeypatch):
+        """stdin is a pipe whose copy into a temporary file raises; yields the error and the files made."""
+        error, made = OSError(28, "No space left on device"), []
+        temporary = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: made.append(temporary()) or made[-1])
+        monkeypatch.setattr(series.shutil, "copyfileobj", mock.Mock(side_effect=error))
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"t,level\n0,1\n")
+        os.close(write_end)
+        saved = os.dup(0)
+        os.dup2(read_end, 0)
+        os.close(read_end)
+        try:
+            yield error, made
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+
+    def test_failed_spool_closes_its_copy(self, failing_spool):
+        error, made = failing_spool
+        with pytest.raises(OSError) as info:
+            CsvSource("/dev/stdin")
+        assert info.value is error
+        assert len(made) == 1 and made[0].closed
+
+    def test_failed_spool_is_an_io_error_in_smooth(self, capsys, failing_spool):
+        _, made = failing_spool
+        code = cli.main(["smooth", "--input", "/dev/stdin", "--column", "level", "--type", "constant", "--n", "1"])
+        assert (code, *capsys.readouterr()) == (3, "", "smoothkit: [Errno 28] No space left on device\n")
+        assert len(made) == 1 and made[0].closed
 
 
 class TestSmoothingInequality:

@@ -6,6 +6,7 @@ A failing certificate detail names each failed condition with its own measure.
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from smoothkit import extremal, suites
@@ -51,6 +52,19 @@ def test_failing_detail_names_the_condition(monkeypatch, degrees, scale, expecte
     assert not check.passed
     assert check.detail.startswith("d <= 12, worst residual ")
     assert check.detail.endswith(expected), check.detail
+
+
+def test_each_condition_holds_iff_its_measure_is_at_most_tol():
+    # the three_conditions_at_0 solution; its measures are the ones that case's detail prints
+    sol = _scaled_at({0}, 1 + 1e-6)(0)
+    measures = extremal.verify_equioscillation(sol, 1e-9).measures
+    assert [f"{m:.3g}" for m in measures] == ["1e-06", "2e-06", "1e-06"]
+    # at tol = a condition's measure it holds, one ulp below it fails; the others follow the same rule
+    for measure in measures:
+        for tol in (measure, np.nextafter(measure, 0)):
+            report = extremal.verify_equioscillation(sol, tol)
+            assert report.measures == measures
+            assert report.failed == tuple(n for n, m in zip(extremal.CONDITIONS, measures) if m > tol)
 
 
 def test_a_d_failing_two_conditions_is_listed_under_both(monkeypatch):
