@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or CSV
 format error, 4 internal error (reported in one line, without a traceback).
+Each comes from one family of exceptions: ValueError is a usage error;
+CsvFormatError, OSError and UnicodeError are I/O errors; the construction's
+ConstructionError is a verification failure in every command, as is a
+failed `verify` check; anything else is internal.
 CSV output carries 17 significant digits; JSON uses shortest round-trip
 floats. All computations use fixed grids and seeds, so identical
 invocations produce byte-identical output.
@@ -18,7 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import asymptotics, kernels, multiplier, series, suites
+from . import asymptotics, extremal, kernels, multiplier, series, suites
 from .chebyshev import MAX_DEGREE
 
 EXIT_OK = 0
@@ -30,15 +34,11 @@ EXIT_INTERNAL = 4
 KERNEL_TYPES = ("optimal", "epanechnikov", "constant", "triangle")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _named_kernel(kind: str, n: int | None) -> kernels.SymmetricKernel:
     if n is None:
-        raise UsageError("--type needs --n")
+        raise ValueError("--type needs --n")
     if n > MAX_DEGREE:
-        raise UsageError(f"half width must be in [0, {MAX_DEGREE}]")
+        raise ValueError(f"half width must be in [0, {MAX_DEGREE}]")
     return getattr(kernels, f"{kind}_kernel")(n)
 
 
@@ -50,7 +50,7 @@ def _load_kernel(args, need_symmetric: bool):
             return general
         w = general.weights
         if general.half_width and float(np.max(np.abs(w - w[::-1]))) > 1e-9:
-            raise UsageError("polynomial method needs a symmetric kernel")
+            raise ValueError("polynomial method needs a symmetric kernel")
         return kernels.symmetrize(general)
     return _named_kernel(args.type, args.n)
 
@@ -79,7 +79,7 @@ def _print(text: str, path: str | None) -> None:
 
 def cmd_kernel(args) -> int:
     if args.type is None:
-        raise UsageError("kernel needs --type and --n")
+        raise ValueError("kernel needs --type and --n")
     kern = _named_kernel(args.type, args.n)
     with _output(args.output) as fh:
         kernels.write_kernel_csv(kern, fh)
@@ -89,7 +89,7 @@ def cmd_kernel(args) -> int:
 def cmd_norm(args) -> int:
     use_polynomial = args.method == "polynomial"
     if use_polynomial and args.order != 2:
-        raise UsageError("the polynomial method applies to --order 2 only")
+        raise ValueError("the polynomial method applies to --order 2 only")
     kern = _load_kernel(args, need_symmetric=use_polynomial)
     if use_polynomial:
         bound = multiplier.operator_norm_via_polynomial(kern)
@@ -150,7 +150,7 @@ def cmd_asympt(args) -> int:
     lines = ["n,optimal_scaled,epanechnikov_ratio,epanechnikov_vs_limit"]
     for n in args.n:
         if not 2 <= n <= MAX_DEGREE:
-            raise UsageError(f"asymptotic rows need 2 <= n <= {MAX_DEGREE}")
+            raise ValueError(f"asymptotic rows need 2 <= n <= {MAX_DEGREE}")
         scaled = multiplier.closed_form_c2(n) * (n + 1) ** 2 / math.pi
         ratio = asymptotics.epanechnikov_ratio(n)
         cells = (scaled, ratio, ratio / mu.three_mu_over_pi)
@@ -175,7 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="emit a kernel file (header k,weight)")
     _add_kernel_source(p, file_allowed=False)
-    p.add_argument("--output", help="path to write (default stdout)")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("norm", help="sharp constant of a kernel as a JSON report")
@@ -187,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="torus",
         help="frequency-grid search or the order-2 polynomial form",
     )
-    p.add_argument("--output", help="path to write (default stdout)")
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("smooth", help="convolve a CSV column with a kernel")
@@ -200,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="reflect",
         help="window extension mode (default reflect)",
     )
-    p.add_argument("--output", help="path to write (default stdout)")
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("verify", help="run invariant suites; exit 0 iff all pass")
@@ -211,14 +208,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which suite to run",
     )
     p.add_argument("--n-max", type=int, default=64, help="half-width/degree ceiling")
-    p.add_argument("--output", help="path to write (default stdout)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("asympt", help="asymptotic-constant table as CSV")
     p.add_argument("--n", type=int, nargs="+", required=True, help="half widths (each >= 2)")
-    p.add_argument("--output", help="path to write (default stdout)")
     p.set_defaults(func=cmd_asympt)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", help="path to write (default stdout)")
     return parser
 
 
@@ -238,8 +235,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (series.CsvFormatError, OSError, UnicodeError) as exc:
         return _fail(exc, EXIT_IO)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(exc, EXIT_USAGE)
+    except extremal.ConstructionError as exc:
+        return _fail(exc, EXIT_VERIFY)
     except Exception as exc:
         return _fail(f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL)
 

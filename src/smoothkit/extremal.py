@@ -17,6 +17,7 @@ from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval, transform
 from .gridsearch import fft_length, refine_grid_max, sample_count
 
 __all__ = [
+    "ConstructionError",
     "ExtremalSolution",
     "EquioscillationReport",
     "LowerBoundReport",
@@ -25,6 +26,10 @@ __all__ = [
     "verify_equioscillation",
     "minimax_lower_bound_check",
 ]
+
+
+class ConstructionError(ArithmeticError):
+    """The construction of S failed its own S(1) = 1 self-check: a verification failure, not a crash."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +129,7 @@ def build_solution(d: int) -> ExtremalSolution:
     the three conditions of the certificate from them, checks the polynomial
     that becomes the kernel.
 
-    Raises ArithmeticError unless S(1) = sum(c_k) is 1 within
+    Raises ConstructionError unless S(1) = sum(c_k) is 1 within
     tol = u (64 Lambda + 16 (1 + log2 N) ||v||_2), u = 2^-53, where v are
     the samples and Lambda = 1 + (2/pi) ln N bounds the nodes' Lebesgue
     constant. Each sample is off by at most 64u: a first-order bound over its
@@ -150,7 +155,7 @@ def build_solution(d: int) -> ExtremalSolution:
     tol = 2.0**-53 * (64.0 * lebesgue + 16.0 * (1.0 + math.log2(N)) * float(np.linalg.norm(v)))
     at_one = float(np.sum(S.coeffs))
     if not abs(at_one - 1.0) <= tol:
-        raise ArithmeticError(f"S(1) = {at_one!r} is not 1 within {tol:.3g}")
+        raise ConstructionError(f"S(1) = {at_one!r} is not 1 within {tol:.3g}")
     return ExtremalSolution(S)
 
 
@@ -267,20 +272,26 @@ def weighted_max(p: ChebSeries) -> tuple[float, float]:
     1 - x and the product round once each. Since
     |U_m(cos theta)| <= min(m + 1, 1 / sin theta), sum |b_k| is at most
     sum_k k (k + 1) / 2 |c_k|, so the bound can grow with the degree squared;
-    it does near theta = 0 and pi, where the b_k do not cancel.
+    it does near theta = 0 and pi, where the b_k do not cancel. A maximum
+    past the largest double raises ValueError.
     """
 
     def weighted(theta):
         x = np.cos(theta)
         return np.abs((1.0 - x) * clenshaw_eval(p, x))
 
-    return refine_grid_max(weighted, np.linspace(0.0, math.pi, sample_count(p.degree + 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, theta = refine_grid_max(weighted, np.linspace(0.0, math.pi, sample_count(p.degree + 2)))
+    if not math.isfinite(value):
+        raise ValueError("the weighted maximum of this polynomial overflows double precision")
+    return value, theta
 
 
 def minimax_lower_bound_check(p: ChebSeries, d: int) -> LowerBoundReport:
     """Confirm max |(1-x) p(x)| >= alpha(d) for a challenger p with p(1) = 1.
 
-    The maximum is `weighted_max`'s, on `gridsearch.sample_count(p.degree + 2)` points.
+    The maximum is `weighted_max`'s, on `gridsearch.sample_count(p.degree + 2)` points;
+    one past the largest double raises ValueError.
     """
     if p.degree > d:
         raise ValueError("challenger degree exceeds the stated bound")

@@ -201,7 +201,8 @@ def operator_norm_via_polynomial(u: SymmetricKernel) -> MultiplierBound:
     |exp(i xi) - 1|^2 = 2 (1 - cos xi). `extremal.weighted_max` samples it
     by Clenshaw at `gridsearch.sample_count(n + 2)` equally spaced theta in
     [0, pi], the frequencies of the torus half grid at m = 2, and polishes
-    it by `gridsearch.refine_grid_max`.
+    it by `gridsearch.refine_grid_max`. A maximum past the largest double
+    raises ValueError, as on the torus path.
     """
     if not isinstance(u, SymmetricKernel):
         raise ValueError("polynomial form needs a symmetric kernel")

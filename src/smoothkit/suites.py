@@ -268,8 +268,9 @@ def run_suite(name: str, n_max: int = 64) -> list[CheckResult]:
         raise ValueError(f"n_max must be in [1, {MAX_DEGREE}], got {n_max}")
     try:
         return _RUNNERS[name](n_max=n_max)
-    except ArithmeticError as exc:
-        # the construction's own S(1) = 1 check tripped: a failed invariant, not a crash
+    except extremal.ConstructionError as exc:
+        # the construction's own S(1) = 1 check tripped: a failed invariant, not a crash;
+        # any other exception is a crash and reaches the CLI as an internal error
         return [CheckResult("construction_self_check", False, f"{type(exc).__name__}: {exc}")]
 
 

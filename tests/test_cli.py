@@ -627,7 +627,15 @@ class TestVerifyCommand:
         assert code == 1
         checks = json.loads(out)["suites"]["extremal"]["checks"]
         assert [c["name"] for c in checks] == ["construction_self_check"]
-        assert checks[0]["detail"].startswith("ArithmeticError: S(1) = ")
+        assert checks[0]["detail"].startswith("ConstructionError: S(1) = ")
+
+    def test_other_exception_in_a_suite_is_an_internal_error(self, capsys, monkeypatch):
+        # only the construction's self-check is a failed check; a crash in a check is not
+        original = multiplier.closed_form_c2
+        monkeypatch.setattr(multiplier, "closed_form_c2", lambda n: 0.0 if n == 3 else original(n))
+        code, out, err = run(capsys, "verify", "--suite", "multiplier", "--n-max", "8")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err == "smoothkit: internal error: ZeroDivisionError: float division by zero\n"
 
     def test_epanechnikov_ratio_off_its_limit_fails(self, capsys, monkeypatch):
         original = asymptotics.epanechnikov_ratio
@@ -730,6 +738,27 @@ class TestInternalError:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err == "smoothkit: internal error: ArithmeticError: round-trip check failed\n"
+
+
+class TestFailedConstruction:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--type", "optimal", "--n", "5"],
+            ["norm", "--type", "optimal", "--n", "5"],
+            ["smooth", "--type", "optimal", "--n", "5", "--input", "{data}", "--column", "level"],
+        ],
+        ids=["kernel", "norm", "smooth"],
+    )
+    def test_self_check_failure_exits_1(self, capsys, monkeypatch, tmp_path, argv):
+        data = tmp_path / "data.csv"
+        data.write_text("t,level\n" + "".join(f"{i},{i * i}\n" for i in range(20)))
+        original = extremal.transform
+        monkeypatch.setattr(extremal, "transform", lambda v: original(np.asarray(v) * 1.001))
+        code, out, err = run(capsys, *(a.format(data=data) for a in argv))
+        assert (code, out) == (cli.EXIT_VERIFY, "")
+        assert err.startswith("smoothkit: S(1) = ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestArgumentRanges:
@@ -872,6 +901,14 @@ _LIBRARY_ERRORS = {
     "scaled_symbol_inf": (lambda: asymptotics.scaled_symbol(4, math.inf), "alpha must be finite"),
     "sinc_cos_gap_inf": (lambda: asymptotics.sinc_cos_gap(math.inf), "alpha must be finite"),
     "unknown_suite": (lambda: suites.run_suite("bogus"), "unknown suite 'bogus'; choose from"),
+    "polynomial_norm_overflow": (
+        lambda: multiplier.operator_norm_via_polynomial(kernels.SymmetricKernel(2, [1.0, 5e307, -5e307])),
+        "the weighted maximum of this polynomial overflows double precision",
+    ),
+    "lower_bound_check_overflow": (
+        lambda: extremal.minimax_lower_bound_check(chebyshev.ChebSeries([1e308, -1e308, 1.0]), 2),
+        "the weighted maximum of this polynomial overflows double precision",
+    ),
 }
 
 # documented CLI errors: arguments, exit code, stderr message;
