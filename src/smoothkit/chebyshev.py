@@ -59,20 +59,26 @@ def cheb_nodes(M: int) -> np.ndarray:
 
 
 def clenshaw_eval(s: ChebSeries, x):
-    """Evaluate the series at x by Clenshaw's recurrence; a scalar x gives a float."""
+    """Evaluate the series at x by Clenshaw's recurrence; a scalar x gives a float.
+
+    A value past the largest double raises ValueError.
+    """
     c = s.coeffs
     arr = _domain(x)
     t2 = 2.0 * arr
     b1 = np.zeros_like(arr)
     b2 = np.zeros_like(arr)
     nxt = np.empty_like(arr)
-    # in-place update, same evaluation order as (t2 * b1 - b2) + ck
-    for ck in c[:0:-1]:
-        np.multiply(t2, b1, out=nxt)
-        np.subtract(nxt, b2, out=nxt)
-        np.add(nxt, ck, out=nxt)
-        b1, b2, nxt = nxt, b1, b2
-    out = arr * b1 - b2 + c[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # in-place update, same evaluation order as (t2 * b1 - b2) + ck
+        for ck in c[:0:-1]:
+            np.multiply(t2, b1, out=nxt)
+            np.subtract(nxt, b2, out=nxt)
+            np.add(nxt, ck, out=nxt)
+            b1, b2, nxt = nxt, b1, b2
+        out = arr * b1 - b2 + c[0]
+    if not np.isfinite(out).all():
+        raise ValueError("Clenshaw evaluation of this series overflows double precision")
     return float(out) if np.ndim(x) == 0 else out
 
 

@@ -88,12 +88,12 @@ class LowerBoundReport:
 
 # the certificate's conditions, as `verify_equioscillation` lists them and reports the failing ones
 CONDITIONS = ("guard", "residuals", "S(1)")
-# Taylor terms in `_cosine_sum_at`: the least J with (pi/4)^J / J! e^(pi/4) < 2^-53
+# Taylor terms in `_cosine_sum_at`: the least J with (pi/2)^J / J! e^(pi/2) < 2^-53
 _TAYLOR_TERMS = next(
-    J for J in range(1, 64) if (math.pi / 4) ** J / math.factorial(J) * math.exp(math.pi / 4) < 2.0**-53
+    J for J in range(1, 64) if (math.pi / 2) ** J / math.factorial(J) * math.exp(math.pi / 2) < 2.0**-53
 )
-# (-i)^p for p < J, exact: Python raises a complex to a small integer power by repeated multiplication
-_ROTATIONS = np.array([(-1j) ** p for p in range(_TAYLOR_TERMS)])
+# complex outputs per rfft call in `_cosine_sum_at`; a call takes at least one row
+_BLOCK_OUTPUTS = 2**14
 
 
 def alpha_closed_form(d: int) -> float:
@@ -162,25 +162,28 @@ def build_solution(d: int) -> ExtremalSolution:
 def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """sum_k c_k cos(k theta) at each theta in [0, pi], by a Taylor model of zero-padded rffts.
 
-    With L = `gridsearch.fft_length(4 c.size)`, h = 2 pi / L, j = rint(theta / h)
+    With L = `gridsearch.fft_length(2 c.size)`, h = 2 pi / L, j = rint(theta / h)
     and s = theta / h - j, |s| <= 1/2, the sum is
-    sum_p s^p / p! Re((-i)^p F_p[j]) with F_p = rfft(c (k h)^p, L): the J
-    rows c (k h)^p go through one batched rfft, gathered at j once and
-    combined by Horner in s. Since k h |s| < pi/4,
-    cutting the series after J = `_TAYLOR_TERMS` terms leaves at most
-    (pi/4)^J / J! e^(pi/4) ||c||_1 < u ||c||_1, u = 2^-53.
+    sum_p s^p / p! Re((-i)^p F_p[j]) with F_p = rfft(c (k h)^p, L), which is
+    +-Re F_p[j] or +-Im F_p[j] by p mod 4. The J rows c (k h)^p go through
+    rfft in blocks of at most `_BLOCK_OUTPUTS` outputs, from p = J - 1 down,
+    and each row, gathered at j, joins a Horner sum in s as its block comes.
+    Since k < c.size <= L / 2, k h |s| < pi/2, so cutting the series after
+    J = `_TAYLOR_TERMS` terms leaves at most
+    (pi/2)^J / J! e^(pi/2) ||c||_1 < u ||c||_1, u = 2^-53.
 
     Rounding, to first order: forming c (k h)^p costs 2 p u relative per
     entry, and the FFT adds at most eta (1 + log2 L) sqrt(L) ||c (k h)^p||_2
     with eta = 7 u per stage (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., Thm 24.2; the extra stage covers the twiddles), where
-    (k h)^p < (pi/2)^p. Horner costs 3 J u on its sum. Weighting term p by
-    |s|^p / p! <= 2^-p / p! and summing over p gives, in all,
-    e^(pi/4) (u ||c||_1 + 7 u (1 + log2 L) sqrt(L) ||c||_2 + 5 J u ||c||_1).
+    (k h)^p < pi^p. Horner costs 3 J u on its sum. Weighting term p by
+    |s|^p / p! <= 2^-p / p!, so that pi^p becomes (pi/2)^p, and summing over
+    p gives, in all,
+    e^(pi/2) (u ||c||_1 + 7 u (1 + log2 L) sqrt(L) ||c||_2 + 5 J u ||c||_1).
     s = t - j is exact, so rounding t = theta / h and h only moves the point:
     the value is the sum's at some theta' with |theta' - theta| <= 3 u theta.
     """
-    L = fft_length(4 * c.size)
+    L = fft_length(2 * c.size)
     h = 2.0 * math.pi / L
     t = theta / h
     j = np.rint(t).astype(np.intp)
@@ -190,10 +193,17 @@ def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
     powers[0] = c
     for p in range(1, _TAYLOR_TERMS):
         np.multiply(powers[p - 1], kh, out=powers[p])
-    terms = (_ROTATIONS[:, None] * np.fft.rfft(powers, L, axis=-1)[:, j]).real
-    out = terms[-1]
-    for p in range(_TAYLOR_TERMS - 2, -1, -1):
-        out = terms[p] + out * s / (p + 1)
+    rows = max(1, _BLOCK_OUTPUTS // (L // 2 + 1))
+    out = np.zeros_like(s)
+    for stop in range(_TAYLOR_TERMS, 0, -rows):
+        start = max(0, stop - rows)
+        F = np.fft.rfft(powers[start:stop], L, axis=-1)
+        for p in range(stop - 1, start - 1, -1):
+            # Re((-i)^p F_p) is Re F_p, Im F_p, -Re F_p, -Im F_p for p mod 4 = 0, 1, 2, 3
+            term = (F[p - start].imag if p % 2 else F[p - start].real)[j]
+            np.multiply(out, s, out=out)
+            np.divide(out, p + 1, out=out)
+            (np.subtract if p & 2 else np.add)(out, term, out=out)
     return out
 
 
@@ -216,11 +226,12 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
 
     q(y_i) = sum_k c_k cos(k theta_i), theta_i = arccos(y_i), comes from
     `_cosine_sum_at`: a Taylor model in the offset from the nearest node of a
-    grid of L = `gridsearch.fft_length` of 4 (N + 1) points, J = 17 terms in
-    one batched rfft. Its error is below
-    e^(pi/4) (u ||c||_1 + 7 u (1 + log2 L) sqrt(L) ||c||_2 + 5 J u ||c||_1)
-    with u = 2^-53 and ||c||_1 about 2 alpha: 3.4e-12 alpha at N = 4097,
-    where it is within 1e-15 alpha of a longdouble sum.
+    grid of L = `gridsearch.fft_length` of 2 (N + 1) points, J = 22 terms
+    whose rows go through rfft in blocks of at most 2^14 outputs. Its error
+    is below
+    e^(pi/2) (u ||c||_1 + 7 u (1 + log2 L) sqrt(L) ||c||_2 + 5 J u ||c||_1)
+    with u = 2^-53, ||c||_1 about 2 alpha and ||c||_2 about alpha: 5.0e-12
+    alpha at N = 4097, where it is within 1.1e-15 alpha of a longdouble sum.
 
     The guard's grid is theta_j = 2 pi j / L, j = 0..L/2, with
     L = `gridsearch.fft_length` of 2 (10 N - 1): at least 10 N points from 0
@@ -241,7 +252,8 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     c = sol.q.coeffs
     theta = np.arccos(sol.alternation_points)
     residuals = np.abs(_cosine_sum_at(c, theta) + alpha * (-1.0) ** np.arange(1, N + 1))
-    grid_max = float(np.max(np.abs(np.fft.rfft(c, fft_length(2 * (10 * N - 1))).real)))
+    grid = np.fft.rfft(c, fft_length(2 * (10 * N - 1))).real
+    grid_max = float(max(grid.max(), -grid.min()))
     measures = (
         grid_max / alpha - 1.0,
         float(np.max(residuals)),
@@ -280,8 +292,11 @@ def weighted_max(p: ChebSeries) -> tuple[float, float]:
         x = np.cos(theta)
         return np.abs((1.0 - x) * clenshaw_eval(p, x))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, theta = refine_grid_max(weighted, np.linspace(0.0, math.pi, sample_count(p.degree + 2)))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, theta = refine_grid_max(weighted, np.linspace(0.0, math.pi, sample_count(p.degree + 2)))
+    except ValueError:  # clenshaw_eval's overflow
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError("the weighted maximum of this polynomial overflows double precision")
     return value, theta

@@ -128,17 +128,20 @@ def derivative(f: TimeSeries, m: int) -> TimeSeries:
 def l2_norm(f) -> float:
     """Euclidean norm of a TimeSeries or plain array.
 
-    A norm outside [2^-400, 2^400] may have lost squares to overflow or
-    underflow, so it is recomputed from the values scaled by a power of
-    two, which is exact. A norm past the largest double is inf.
+    The sum of squares is one `np.einsum`, which calls no BLAS and makes no
+    temporary: its value does not depend on the BLAS thread count. A norm
+    outside [2^-400, 2^400] may have lost squares to overflow or underflow,
+    so it is recomputed from the values scaled by a power of two, which is
+    exact. A norm past the largest double is inf.
     """
-    v = f.values if isinstance(f, TimeSeries) else np.asarray(f, dtype=float)
+    v = (f.values if isinstance(f, TimeSeries) else np.asarray(f, dtype=float)).ravel()
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(np.einsum("i,i->", v, v))
         if _NORM_LO <= norm <= _NORM_HI or not v.size:
             return norm
         _, e = np.frexp(np.max(np.abs(v)))
-        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+        scaled = np.ldexp(v, -e)
+        return float(np.ldexp(math.sqrt(np.einsum("i,i->", scaled, scaled)), e))
 
 
 def _column_index(path, fields: list[str], column: str) -> int:

@@ -889,6 +889,10 @@ _LIBRARY_ERRORS = {
         lambda: chebyshev.clenshaw_eval(chebyshev.ChebSeries([1.0, 2.0]), math.nan),
         r"evaluation point outside \[-1, 1\] beyond the clamp band",
     ),
+    "clenshaw_eval_overflow": (
+        lambda: chebyshev.clenshaw_eval(chebyshev.ChebSeries([1e308] * 3), [1.0, 0.5]),
+        "Clenshaw evaluation of this series overflows double precision",
+    ),
     "verify_identity_order_0": (lambda: asymptotics.verify_identity(0, _X), "half width must be at least 1"),
     "verify_identity_below_minus_1": (
         lambda: asymptotics.verify_identity(3, -1.5),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,9 +266,29 @@ class TestResiduals:
         assert calls == []
 
     def test_taylor_terms_are_the_least_below_one_ulp(self):
+        # on the half-length grid k h |s| < pi/2
         J = extremal._TAYLOR_TERMS
-        tail = lambda j: (math.pi / 4) ** j / math.factorial(j) * math.exp(math.pi / 4)
+        tail = lambda j: (math.pi / 2) ** j / math.factorial(j) * math.exp(math.pi / 2)
         assert tail(J) < 2.0**-53 <= tail(J - 1)
+
+    def test_bounded_transient_at_the_top_degree(self):
+        # all J rows in one rfft, gathered at j and rotated as J x N complex arrays, peak at 4.0 MB
+        sol = build_solution(4096)
+        tracemalloc.start()
+        try:
+            verify_equioscillation(sol, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
+    @pytest.mark.parametrize("d", [7, 1024, 4096])
+    def test_row_blocks_combine_in_horner_order(self, d, monkeypatch):
+        sol = build_solution(d)
+        c, theta = sol.q.coeffs, np.arccos(sol.alternation_points)
+        blocked = extremal._cosine_sum_at(c, theta)
+        monkeypatch.setattr(extremal, "_BLOCK_OUTPUTS", 1)
+        assert np.array_equal(extremal._cosine_sum_at(c, theta), blocked)
 
 
 class TestGuardGrid:
@@ -281,7 +302,7 @@ class TestGuardGrid:
     def guard(sol, monkeypatch):
         """verify_equioscillation's report and its rfft calls at the guard length as (length, output).
 
-        The residuals' rffts, at fft_length(4 (N + 1)), always shorter, are left out.
+        The residuals' rffts, at fft_length(2 (N + 1)), always shorter, are left out.
         """
         L = TestGuardGrid.guard_length(sol.degree + 1)
         calls = []
@@ -330,7 +351,7 @@ class TestGuardGrid:
             L = self.guard_length(N)
             assert L % 2 == 0 and L // 2 + 1 >= 10 * N, N
             # the spy in `guard` tells the guard from the residuals by length
-            assert fft_length(4 * (N + 1)) < L, N
+            assert fft_length(2 * (N + 1)) < L, N
 
     @pytest.mark.parametrize("d", [0, 7, 4096])
     def test_guard_is_one_rfft_of_that_length(self, d, monkeypatch):

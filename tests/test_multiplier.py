@@ -455,7 +455,7 @@ class TestRayleigh:
                 # optimal_kernel(5)'s weights, written out so that only rayleigh_quotient is pinned
                 SymmetricKernel(5, [0.12446846642984327, 0.12120304819838698, 0.1113434744492627,
                                     0.09469747319954837, 0.07093677160300751, 0.03958499933487292]),
-                [0.06500797472492134, 0.03581033905326597, 0.026052257908724032],
+                [0.06500797472492134, 0.035810339053265965, 0.026052257908724032],
             ),
             (triangle_kernel(3), [0.32668784661004385, 0.22200046497125184, 0.15619920337186366]),
             (GeneralKernel(1, [0.2, 0.5, 0.3]), [0.5723793699495217, 0.41315348488346765, 0.3284598852414223]),
