@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import ChebSeries, clenshaw_eval
+from .chebyshev import ChebSeries, clenshaw_eval, integer
 from .gridsearch import maximize, sample_count
 from .kernels import epanechnikov_kernel
 from .multiplier import operator_norm
@@ -93,6 +93,7 @@ def epanechnikov_series(n: int) -> ChebSeries:
     Rescaling by 3 / (n (4n^2 - 1)) gives exactly the cosine-series
     polynomial of the half-width-n Epanechnikov kernel.
     """
+    n = integer(n, "half width")
     if n < 1:
         raise ValueError("half width must be at least 1")
     k = np.arange(1, n)
@@ -107,6 +108,7 @@ def verify_identity(n: int, x):
     evaluated trigonometrically as sin((2n-1) theta/2) / sin(theta/2) so the
     x -> 1 singularity never enters. x = 1 itself is rejected.
     """
+    n = integer(n, "half width")
     if n < 1:
         raise ValueError("half width must be at least 1")
     arr = np.asarray(x, dtype=float)
@@ -129,6 +131,7 @@ def beat_bound_check(n: int, x) -> bool:
     -2 sin((2n-1) theta/2) sin(theta/2), which is how it is evaluated here.
     Equality holds at x = -1.
     """
+    n = integer(n, "order")
     if n < 1:
         raise ValueError("order must be at least 1")
     arr = np.asarray(x, dtype=float)
@@ -148,6 +151,7 @@ def scaled_symbol(n: int, alpha):
     ((2n-1)/2n) cos(a); at a = 0 both halves cancel to the limit value 0.
     Converges uniformly on [0, 16] to sin(a)/a - cos(a).
     """
+    n = integer(n, "half width")
     if n < 1:
         raise ValueError("half width must be at least 1")
     a = np.asarray(alpha, dtype=float)

@@ -6,6 +6,7 @@ built on numpy's FFT, up to the supported degree (4096).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,14 @@ __all__ = [
 CLAMP_BAND = 1e-12
 
 MAX_DEGREE = 4096
+
+
+def integer(value, name: str) -> int:
+    """A size or order as an int, by `operator.index`; anything else, 2.0 too, raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +62,7 @@ def _domain(x) -> np.ndarray:
 
 def cheb_nodes(M: int) -> np.ndarray:
     """Gauss-Chebyshev points cos(pi (j + 1/2) / M), decreasing, none equal +-1."""
+    M = integer(M, "node count")
     if M < 1:
         raise ValueError("node count must be at least 1")
     return np.cos(np.pi * (np.arange(M) + 0.5) / M)

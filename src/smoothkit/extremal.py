@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval, transform
+from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval, integer, transform
 from .gridsearch import fft_length, refine_grid_max, sample_count
 
 __all__ = [
@@ -98,6 +98,7 @@ _BLOCK_OUTPUTS = 2**14
 
 def alpha_closed_form(d: int) -> float:
     """Minimax value 2 sin(pi/2N) / (N (1 + cos(pi/2N))) with N = d + 1."""
+    d = integer(d, "degree")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     N = d + 1
@@ -140,6 +141,7 @@ def build_solution(d: int) -> ExtremalSolution:
     extra stage covers the twiddle and scaling pass. At N = 4097 the bound is
     6.3e-14; observed errors stay below 7e-16.
     """
+    d = integer(d, "degree")
     if not 0 <= d <= MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
     N = d + 1
@@ -165,9 +167,13 @@ def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
     With L = `gridsearch.fft_length(2 c.size)`, h = 2 pi / L, j = rint(theta / h)
     and s = theta / h - j, |s| <= 1/2, the sum is
     sum_p s^p / p! Re((-i)^p F_p[j]) with F_p = rfft(c (k h)^p, L), which is
-    +-Re F_p[j] or +-Im F_p[j] by p mod 4. The J rows c (k h)^p go through
-    rfft in blocks of at most `_BLOCK_OUTPUTS` outputs, from p = J - 1 down,
-    and each row, gathered at j, joins a Horner sum in s as its block comes.
+    +-Re F_p[j] or +-Im F_p[j] by p mod 4. The series is walked upward from
+    one running row: each block of at most `_BLOCK_OUTPUTS` outputs is filled
+    with the next rows c, c k h, c (k h)^2, ..., each formed once from the
+    one before, and goes through one rfft; each of its rows, gathered at j,
+    joins the upward sum out +- (s^p / p!) term, whose weight s^p / p! is
+    updated in place. The transient is one block's rows and transform and a
+    few vectors of length c.size, at any J.
     Since k < c.size <= L / 2, k h |s| < pi/2, so cutting the series after
     J = `_TAYLOR_TERMS` terms leaves at most
     (pi/2)^J / J! e^(pi/2) ||c||_1 < u ||c||_1, u = 2^-53.
@@ -176,10 +182,13 @@ def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
     entry, and the FFT adds at most eta (1 + log2 L) sqrt(L) ||c (k h)^p||_2
     with eta = 7 u per stage (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., Thm 24.2; the extra stage covers the twiddles), where
-    (k h)^p < pi^p. Horner costs 3 J u on its sum. Weighting term p by
-    |s|^p / p! <= 2^-p / p!, so that pi^p becomes (pi/2)^p, and summing over
-    p gives, in all,
-    e^(pi/2) (u ||c||_1 + 7 u (1 + log2 L) sqrt(L) ||c||_2 + 5 J u ||c||_1).
+    (k h)^p < pi^p. Each weight s^p / p!, one division and one product per
+    step, carries at most 2 p u relative error. Weighting term p by
+    |s|^p / p! <= 2^-p / p!, so that pi^p becomes (pi/2)^p, bounds the sum of
+    the terms' sizes by e^(pi/2) ||c||_1, and the upward sum, one product and
+    one addition per term, costs at most J u e^(pi/2) ||c||_1. With
+    2 p u + 2 p u <= 4 J u for the rows and weights, summing over p gives, in
+    all, e^(pi/2) (u ||c||_1 + 7 u (1 + log2 L) sqrt(L) ||c||_2 + 5 J u ||c||_1).
     s = t - j is exact, so rounding t = theta / h and h only moves the point:
     the value is the sum's at some theta' with |theta' - theta| <= 3 u theta.
     """
@@ -189,21 +198,19 @@ def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
     j = np.rint(t).astype(np.intp)
     s = t - j
     kh = np.arange(c.size) * h
-    powers = np.empty((_TAYLOR_TERMS, c.size))
-    powers[0] = c
-    for p in range(1, _TAYLOR_TERMS):
-        np.multiply(powers[p - 1], kh, out=powers[p])
-    rows = max(1, _BLOCK_OUTPUTS // (L // 2 + 1))
-    out = np.zeros_like(s)
-    for stop in range(_TAYLOR_TERMS, 0, -rows):
-        start = max(0, stop - rows)
-        F = np.fft.rfft(powers[start:stop], L, axis=-1)
-        for p in range(stop - 1, start - 1, -1):
+    rows = min(_TAYLOR_TERMS, max(1, _BLOCK_OUTPUTS // (L // 2 + 1)))
+    block = np.empty((rows, c.size))
+    row, weight, out = c, np.ones_like(s), np.zeros_like(s)
+    for start in range(0, _TAYLOR_TERMS, rows):
+        stop = min(start + rows, _TAYLOR_TERMS)
+        for p in range(start, stop):
+            # row p = c (k h)^p, formed once from row p - 1; row 0 is a copy of c
+            row = np.multiply(row, kh if p else 1.0, out=block[p - start])
+        for p, F in enumerate(np.fft.rfft(block[: stop - start], L, axis=-1), start):
             # Re((-i)^p F_p) is Re F_p, Im F_p, -Re F_p, -Im F_p for p mod 4 = 0, 1, 2, 3
-            term = (F[p - start].imag if p % 2 else F[p - start].real)[j]
-            np.multiply(out, s, out=out)
-            np.divide(out, p + 1, out=out)
-            (np.subtract if p & 2 else np.add)(out, term, out=out)
+            term = (F.imag if p % 2 else F.real)[j]
+            (np.subtract if p & 2 else np.add)(out, weight * term, out=out)
+            weight *= s / (p + 1)  # s^(p + 1) / (p + 1)!
     return out
 
 
@@ -227,11 +234,11 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     q(y_i) = sum_k c_k cos(k theta_i), theta_i = arccos(y_i), comes from
     `_cosine_sum_at`: a Taylor model in the offset from the nearest node of a
     grid of L = `gridsearch.fft_length` of 2 (N + 1) points, J = 22 terms
-    whose rows go through rfft in blocks of at most 2^14 outputs. Its error
-    is below
+    in an upward sum from one running row, whose blocks of at most 2^14
+    outputs each go through one rfft. Its error is below
     e^(pi/2) (u ||c||_1 + 7 u (1 + log2 L) sqrt(L) ||c||_2 + 5 J u ||c||_1)
     with u = 2^-53, ||c||_1 about 2 alpha and ||c||_2 about alpha: 5.0e-12
-    alpha at N = 4097, where it is within 1.1e-15 alpha of a longdouble sum.
+    alpha at N = 4097, where it is within 1.4e-15 alpha of a longdouble sum.
 
     The guard's grid is theta_j = 2 pi j / L, j = 0..L/2, with
     L = `gridsearch.fft_length` of 2 (10 N - 1): at least 10 N points from 0

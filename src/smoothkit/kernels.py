@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import MAX_DEGREE, ChebSeries
+from .chebyshev import MAX_DEGREE, ChebSeries, integer
 from .extremal import build_solution
 
 __all__ = [
@@ -41,7 +41,7 @@ class SymmetricKernel:
 
     def __post_init__(self):
         mass = lambda w: w[0] + 2.0 * float(w[1:].sum())
-        _store_weights(self, self.half_width + 1, "symmetric kernel needs half_width + 1 weights", mass)
+        _store_weights(self, 1, "symmetric kernel needs half_width + 1 weights", mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,23 +53,30 @@ class GeneralKernel:
 
     def __post_init__(self):
         mass = lambda w: float(w.sum())
-        _store_weights(self, 2 * self.half_width + 1, "general kernel needs 2 * half_width + 1 weights", mass)
+        _store_weights(self, 2, "general kernel needs 2 * half_width + 1 weights", mass)
 
 
-def _store_weights(kernel, size: int, size_error: str, mass) -> None:
-    """Set kernel.weights to its weights as floats: `size` of them, all finite, with mass(w) equal to 1."""
+def _store_weights(kernel, sides: int, size_error: str, mass) -> None:
+    """Set kernel.half_width to an int n and kernel.weights to its weights as floats.
+
+    There must be sides n + 1 weights, all finite, with mass(w) equal to 1;
+    a half width that is not an integer raises ValueError.
+    """
+    n = integer(kernel.half_width, "half width")
     w = np.atleast_1d(np.asarray(kernel.weights, dtype=float))
-    if kernel.half_width < 0 or w.size != size:
+    if n < 0 or w.size != sides * n + 1:
         raise ValueError(size_error)
     if not np.all(np.isfinite(w)):
         raise ValueError("kernel weights must be finite")
     if abs(mass(w) - 1.0) > 1e-9:
         raise ValueError("kernel weights must sum to 1")
+    object.__setattr__(kernel, "half_width", n)
     object.__setattr__(kernel, "weights", w)
 
 
 def constant_kernel(n: int) -> SymmetricKernel:
     """Flat moving-average weights u(k) = 1/(2n+1)."""
+    n = integer(n, "half width")
     if n < 0:
         raise ValueError("half width must be nonnegative")
     return SymmetricKernel(n, np.full(n + 1, 1.0 / (2 * n + 1)))
@@ -77,6 +84,7 @@ def constant_kernel(n: int) -> SymmetricKernel:
 
 def triangle_kernel(n: int) -> SymmetricKernel:
     """Triangle weights u(k) = (n + 1 - |k|) / (n + 1)^2."""
+    n = integer(n, "half width")
     if n < 0:
         raise ValueError("half width must be nonnegative")
     k = np.arange(n + 1)
@@ -89,6 +97,7 @@ def epanechnikov_kernel(n: int) -> SymmetricKernel:
     The formula divides by zero at n = 0, so that case is rejected rather
     than patched.
     """
+    n = integer(n, "half width")
     if n < 1:
         raise ValueError("Epanechnikov weights need half width >= 1")
     k = np.arange(n + 1)
@@ -102,6 +111,7 @@ def optimal_kernel(n: int) -> SymmetricKernel:
     polynomial S: w_0 = c_0 and w_k = c_k / 2, which is the discrete
     orthogonality quadrature of S against T_k.
     """
+    n = integer(n, "half width")
     if not 0 <= n <= MAX_DEGREE:
         raise ValueError(f"half width must be in [0, {MAX_DEGREE}]")
     w = build_solution(n).S.coeffs.copy()

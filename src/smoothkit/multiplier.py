@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import clenshaw_eval
+from .chebyshev import clenshaw_eval, integer
 from .extremal import alpha_closed_form, weighted_max
 from .gridsearch import maximize, sample_count
 from .kernels import GeneralKernel, SymmetricKernel, full_weights, to_polynomial
@@ -89,6 +89,7 @@ def operator_norm(u: SymmetricKernel | GeneralKernel, m: int) -> MultiplierBound
     which the last node can pass by an ulp. Orders run from 1 to MAX_ORDER;
     a maximum past the largest double raises ValueError.
     """
+    m = integer(m, "difference order")
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"difference order must be in [1, {MAX_ORDER}]")
     w = full_weights(u)
@@ -212,6 +213,7 @@ def operator_norm_via_polynomial(u: SymmetricKernel) -> MultiplierBound:
 
 def closed_form_c2(n: int) -> float:
     """Smallest possible order-2 constant over all half-width-n kernels."""
+    n = integer(n, "half width")
     if n < 0:
         raise ValueError("half width must be nonnegative")
     return 2.0 * alpha_closed_form(n)
@@ -227,6 +229,7 @@ def rayleigh_quotient(u: SymmetricKernel | GeneralKernel, m: int, f: TimeSeries)
     max |f| lies in [1/2, 1), which is exact and keeps the quotient; a norm
     of the differences still past the largest double raises ValueError.
     """
+    m = integer(m, "difference order")
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"difference order must be in [1, {MAX_ORDER}]")
     _, e = np.frexp(np.max(np.abs(f.values)))
@@ -257,6 +260,7 @@ def wave_packet(xi_star: float, sigma: float, length: int) -> TimeSeries:
         raise ValueError("sigma must be positive")
     if not math.isfinite(sigma):
         raise ValueError("sigma must be finite")
+    length = integer(length, "length")
     if length < 1:
         raise ValueError("length must be positive")
     if length < 8 * sigma:

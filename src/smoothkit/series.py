@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chebyshev import integer
 from .kernels import GeneralKernel, SymmetricKernel, full_weights
 
 __all__ = [
@@ -112,6 +113,7 @@ def convolve(u: SymmetricKernel | GeneralKernel, f: TimeSeries, boundary: str = 
 
 def derivative(f: TimeSeries, m: int) -> TimeSeries:
     """m-th forward difference; length shrinks by m."""
+    m = integer(m, "difference order")
     if m < 1:
         raise ValueError("difference order must be at least 1")
     if len(f) < m + 1:

@@ -915,6 +915,29 @@ _LIBRARY_ERRORS = {
     ),
 }
 
+# each size or order argument of the library, as a call on it and the name its ValueError gives
+_F = series.TimeSeries(np.arange(8.0) ** 2)
+_SIZES = {
+    "alpha_closed_form": (extremal.alpha_closed_form, "degree"),
+    "build_solution": (extremal.build_solution, "degree"),
+    "optimal_kernel": (kernels.optimal_kernel, "half width"),
+    "constant_kernel": (constant_kernel, "half width"),
+    "triangle_kernel": (kernels.triangle_kernel, "half width"),
+    "epanechnikov_kernel": (epanechnikov_kernel, "half width"),
+    "SymmetricKernel": (lambda n: kernels.SymmetricKernel(n, [0.25, 0.25, 0.125, 0.0]), "half width"),
+    "GeneralKernel": (lambda n: kernels.GeneralKernel(n, [1 / 7] * 7), "half width"),
+    "operator_norm": (lambda m: operator_norm(constant_kernel(2), m), "difference order"),
+    "rayleigh_quotient": (lambda m: multiplier.rayleigh_quotient(constant_kernel(2), m, _F), "difference order"),
+    "derivative": (lambda m: series.derivative(_F, m), "difference order"),
+    "closed_form_c2": (closed_form_c2, "half width"),
+    "wave_packet": (lambda length: multiplier.wave_packet(1.0, 0.25, length), "length"),
+    "cheb_nodes": (chebyshev.cheb_nodes, "node count"),
+    "epanechnikov_series": (asymptotics.epanechnikov_series, "half width"),
+    "scaled_symbol": (lambda n: asymptotics.scaled_symbol(n, 1.0), "half width"),
+    "verify_identity": (lambda n: asymptotics.verify_identity(n, 0.5), "half width"),
+    "beat_bound_check": (lambda n: asymptotics.beat_bound_check(n, 0.5), "order"),
+}
+
 # documented CLI errors: arguments, exit code, stderr message;
 # {header_only} is a kernel file with a header and no rows
 _NORM_POLY = ["norm", "--type", "optimal", "--n", "4", "--method", "polynomial"]
@@ -934,6 +957,14 @@ class TestDocumentedErrors:
         call, message = _LIBRARY_ERRORS[case]
         with pytest.raises(ValueError, match=f"^{message}"):
             call()
+
+    @pytest.mark.parametrize("case", list(_SIZES))
+    def test_size_is_an_integer(self, case):
+        call, name = _SIZES[case]
+        for value in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+                call(value)
+        call(np.int64(3))
 
     @pytest.mark.parametrize("case", list(_CLI_ERRORS))
     def test_cli(self, capsys, tmp_path, case):

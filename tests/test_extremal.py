@@ -282,8 +282,24 @@ class TestResiduals:
             tracemalloc.stop()
         assert peak <= 1.5e6
 
+    def test_residual_transient_is_one_block(self):
+        # one block's rows and their transform, plus 16 float vectors of length N + 1; a J x (N + 1) table breaks it
+        sol = build_solution(4096)
+        c, theta = sol.q.coeffs, np.arccos(sol.alternation_points)
+        L = fft_length(2 * c.size)
+        rows = extremal._BLOCK_OUTPUTS // (L // 2 + 1)
+        assert 1 < rows < extremal._TAYLOR_TERMS
+        limit = 8 * rows * c.size + 16 * rows * (L // 2 + 1) + 16 * 8 * c.size
+        tracemalloc.start()
+        try:
+            extremal._cosine_sum_at(c, theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+
     @pytest.mark.parametrize("d", [7, 1024, 4096])
-    def test_row_blocks_combine_in_horner_order(self, d, monkeypatch):
+    def test_row_blocks_leave_the_sum_unchanged(self, d, monkeypatch):
         sol = build_solution(d)
         c, theta = sol.q.coeffs, np.arccos(sol.alternation_points)
         blocked = extremal._cosine_sum_at(c, theta)
