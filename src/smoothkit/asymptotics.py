@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import ChebSeries, clenshaw_eval, integer
+from .chebyshev import ChebSeries, clenshaw_eval, integer, reals
 from .gridsearch import maximize, sample_count
 from .kernels import epanechnikov_kernel
 from .multiplier import operator_norm
@@ -41,7 +41,7 @@ class MuResult:
 
 def sinc_cos_gap(alpha):
     """|sin(a)/a - cos(a)| with the limit value 0 at a = 0."""
-    a = np.asarray(alpha, dtype=float)
+    a = reals(alpha, "alpha")
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha must be finite")
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -111,7 +111,7 @@ def verify_identity(n: int, x):
     n = integer(n, "half width")
     if n < 1:
         raise ValueError("half width must be at least 1")
-    arr = np.asarray(x, dtype=float)
+    arr = reals(x, "x")
     if np.any(arr >= 1.0):
         raise ValueError("x must be strictly below 1")
     if not np.all(arr >= -1.0):
@@ -134,7 +134,7 @@ def beat_bound_check(n: int, x) -> bool:
     n = integer(n, "order")
     if n < 1:
         raise ValueError("order must be at least 1")
-    arr = np.asarray(x, dtype=float)
+    arr = reals(x, "x")
     if not np.all((arr >= -1.0) & (arr < 1.0)):
         raise ValueError("x must lie in [-1, 1)")
     theta = np.arccos(arr)
@@ -154,7 +154,7 @@ def scaled_symbol(n: int, alpha):
     n = integer(n, "half width")
     if n < 1:
         raise ValueError("half width must be at least 1")
-    a = np.asarray(alpha, dtype=float)
+    a = reals(alpha, "alpha")
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha must be finite")
     c = (2.0 * n - 1.0) / (2.0 * n)
@@ -170,6 +170,7 @@ def scaled_symbol(n: int, alpha):
 
 def epanechnikov_ratio(n: int) -> float:
     """Sharp constant of the half-width-n Epanechnikov kernel, scaled by n^2 / pi."""
+    n = integer(n, "half width")
     if n < 2:
         raise ValueError("ratio needs half width >= 2")
     return operator_norm(epanechnikov_kernel(n), 2).value * n * n / math.pi

@@ -6,6 +6,7 @@ built on numpy's FFT, up to the supported degree (4096).
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -33,6 +34,59 @@ def integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer") from None
 
 
+def _floats(values) -> np.ndarray | None:
+    """values as a float64 array, float64 input as it is; None unless every value is a real number.
+
+    Real numbers are numpy's bool, integer and floating dtypes and, in an
+    object array, instances of `numbers.Real`. The dtype is checked before
+    any cast, since numpy casts a complex array to its real part with only
+    a warning and an object array's None to nan.
+    """
+    try:
+        arr = np.asarray(values)
+        if arr.dtype == object and all(isinstance(v, numbers.Real) for v in arr.flat):
+            arr = arr.astype(float)
+    except (TypeError, ValueError, OverflowError):  # ragged nesting; an int past the largest double
+        return None
+    if arr.dtype.kind not in "biuf":
+        return None
+    if arr.dtype != float:
+        with np.errstate(over="ignore"):  # a longdouble past the largest double is inf
+            arr = arr.astype(float)
+    return arr
+
+
+def real(value, name: str) -> float:
+    """One real number as a float; anything else, complex 1 + 0j too, raises ValueError naming it."""
+    arr = _floats(value)
+    if arr is None or arr.ndim:
+        raise ValueError(f"{name} must be a real number")
+    return float(arr)
+
+
+def reals(values, name: str) -> np.ndarray:
+    """Real numbers of any shape as a float64 array, float64 input uncopied; else ValueError naming them."""
+    arr = _floats(values)
+    if arr is None:
+        raise ValueError(f"{name} must be real numbers")
+    return arr
+
+
+def finite_vector(values, name: str, size_error: str, size: int | None = None) -> np.ndarray:
+    """reals(values, name) as a 1-D array, a scalar as one value.
+
+    Then, in this order: a shape that is not 1-D, no values, or a count
+    other than size (if given) raises ValueError(size_error), and a nan or
+    infinite value raises ValueError("<name> must be finite").
+    """
+    v = np.atleast_1d(reals(values, name))
+    if v.ndim != 1 or v.size == 0 or (size is not None and v.size != size):
+        raise ValueError(size_error)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class ChebSeries:
     """Polynomial sum(c_k * T_k(x)) stored by its coefficients c_0..c_d."""
@@ -40,11 +94,9 @@ class ChebSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("ChebSeries needs a non-empty 1-D coefficient list")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("ChebSeries coefficients must be finite")
+        c = finite_vector(
+            self.coeffs, "ChebSeries coefficients", "ChebSeries needs a non-empty 1-D coefficient list"
+        )
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -53,7 +105,7 @@ class ChebSeries:
 
 
 def _domain(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = reals(x, "x")
     # phrased so that nan fails too
     if not np.all(np.abs(arr) <= 1.0 + CLAMP_BAND):
         raise ValueError("evaluation point outside [-1, 1] beyond the clamp band")
@@ -102,11 +154,7 @@ def transform(values) -> ChebSeries:
     reversed: c_k = (2/M) Re(exp(-i pi k / 2M) V_k) (Makhoul, IEEE TASSP 1980).
     Samples so large that this overflows raise ValueError.
     """
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("transform needs a non-empty 1-D sample vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("samples must be finite")
+    v = finite_vector(values, "samples", "transform needs a non-empty 1-D sample vector")
     M = v.size
     try:
         with np.errstate(over="raise"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval, integer, transform
+from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval, integer, real, transform
 from .gridsearch import fft_length, refine_grid_max, sample_count
 
 __all__ = [
@@ -250,6 +250,7 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     1e-9 alpha at N = 4097. Those of q are O(alpha): at N = 4097 the rfft is
     within 1e-15 alpha of a longdouble sum.
     """
+    tol = real(tol, "tolerance")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not math.isfinite(tol):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import MAX_DEGREE, ChebSeries, integer
+from .chebyshev import MAX_DEGREE, ChebSeries, finite_vector, integer
 from .extremal import build_solution
 
 __all__ = [
@@ -59,15 +59,12 @@ class GeneralKernel:
 def _store_weights(kernel, sides: int, size_error: str, mass) -> None:
     """Set kernel.half_width to an int n and kernel.weights to its weights as floats.
 
-    There must be sides n + 1 weights, all finite, with mass(w) equal to 1;
-    a half width that is not an integer raises ValueError.
+    There must be sides n + 1 weights in one dimension, all real and finite,
+    with mass(w) equal to 1; a half width that is not an integer raises
+    ValueError.
     """
     n = integer(kernel.half_width, "half width")
-    w = np.atleast_1d(np.asarray(kernel.weights, dtype=float))
-    if n < 0 or w.size != sides * n + 1:
-        raise ValueError(size_error)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("kernel weights must be finite")
+    w = finite_vector(kernel.weights, "kernel weights", size_error, sides * n + 1)
     if abs(mass(w) - 1.0) > 1e-9:
         raise ValueError("kernel weights must sum to 1")
     object.__setattr__(kernel, "half_width", n)

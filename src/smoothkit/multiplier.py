@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import clenshaw_eval, integer
+from .chebyshev import clenshaw_eval, integer, real
 from .extremal import alpha_closed_form, weighted_max
 from .gridsearch import maximize, sample_count
 from .kernels import GeneralKernel, SymmetricKernel, full_weights, to_polynomial
@@ -254,6 +254,8 @@ def wave_packet(xi_star: float, sigma: float, length: int) -> TimeSeries:
     tail below exp(-8). A xi_star or sigma whose phase xi_star k or
     exponent (k - center)^2 / (2 sigma^2) overflows raises ValueError.
     """
+    xi_star = real(xi_star, "xi_star")
+    sigma = real(sigma, "sigma")
     if not math.isfinite(xi_star):
         raise ValueError("xi_star must be finite")
     if sigma <= 0:
@@ -267,7 +269,7 @@ def wave_packet(xi_star: float, sigma: float, length: int) -> TimeSeries:
         raise ValueError("window too short for the envelope: need length >= 8 sigma")
     if not math.isfinite(xi_star * (length - 1)):
         raise ValueError("xi_star is too large: xi_star * (length - 1) overflows")
-    k = np.arange(length, dtype=float)
+    k = np.arange(float(length))
     center = 0.5 * (length - 1)
     spread = 2.0 * sigma * sigma
     if spread == 0.0 or not math.isfinite(center * center / spread):

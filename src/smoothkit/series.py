@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import integer
+from .chebyshev import finite_vector, integer, reals
 from .kernels import GeneralKernel, SymmetricKernel, full_weights
 
 __all__ = [
@@ -68,11 +68,7 @@ class TimeSeries:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("series needs at least one value")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("series values must be finite")
+        v = finite_vector(self.values, "series values", "series needs at least one value")
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != v.size:
@@ -136,7 +132,7 @@ def l2_norm(f) -> float:
     so it is recomputed from the values scaled by a power of two, which is
     exact. A norm past the largest double is inf.
     """
-    v = (f.values if isinstance(f, TimeSeries) else np.asarray(f, dtype=float)).ravel()
+    v = (f.values if isinstance(f, TimeSeries) else reals(f, "f")).ravel()
     with np.errstate(over="ignore"):
         norm = math.sqrt(np.einsum("i,i->", v, v))
         if _NORM_LO <= norm <= _NORM_HI or not v.size:

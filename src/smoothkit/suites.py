@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, extremal, kernels, multiplier, series
-from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval
+from .chebyshev import MAX_DEGREE, ChebSeries, clenshaw_eval, integer
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites"]
 
@@ -264,6 +264,7 @@ SUITE_NAMES = tuple(_RUNNERS)
 def run_suite(name: str, n_max: int = 64) -> list[CheckResult]:
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    n_max = integer(n_max, "n_max")
     if not 1 <= n_max <= MAX_DEGREE:
         raise ValueError(f"n_max must be in [1, {MAX_DEGREE}], got {n_max}")
     try:
@@ -275,6 +276,7 @@ def run_suite(name: str, n_max: int = 64) -> list[CheckResult]:
 
 
 def run_suites(names, n_max: int = 64) -> dict:
+    n_max = integer(n_max, "n_max")
     summary: dict = {"n_max": n_max, "suites": {}, "all_passed": True}
     for name in names:
         checks = run_suite(name, n_max=n_max)

@@ -11,6 +11,8 @@ from smoothkit.chebyshev import (
     ChebSeries,
     cheb_nodes,
     clenshaw_eval,
+    real,
+    reals,
     transform,
 )
 
@@ -166,3 +168,30 @@ class TestTransform:
         scale = np.max(np.abs(s.coeffs))
         assert np.max(np.abs(back.coeffs - s.coeffs)) <= 1e-12 * scale
         assert_allclose(clenshaw_eval(back, nodes), clenshaw_eval(s, nodes), rtol=1e-12)
+
+
+class TestConverters:
+    def test_float64_is_not_copied(self):
+        v = np.linspace(0.0, 1.0, 5)[::2]
+        assert reals(v, "v") is v
+
+    def test_exact_conversions(self):
+        from fractions import Fraction
+
+        assert reals([1, Fraction(1, 3), 2**70], "v").tolist() == [1.0, 1 / 3, 2.0**70]
+        assert real(np.float32(0.1), "v") == float(np.float32(0.1))
+        assert real(True, "v") == 1.0
+        assert real(np.longdouble(0.5), "v") == 0.5
+        if np.finfo(np.longdouble).max > np.finfo(float).max:
+            assert real(np.longdouble(10) ** 400, "v") == math.inf  # no overflow warning
+
+    @pytest.mark.parametrize(
+        "value", [[1.0, None], [1.0, "2"], [[1.0], [2.0, 3.0]], [2**1100], np.array([1 + 0j], dtype=object)]
+    )
+    def test_non_reals(self, value):
+        with pytest.raises(ValueError, match="^v must be real numbers$"):
+            reals(value, "v")
+
+    def test_real_is_one_number(self):
+        with pytest.raises(ValueError, match="^v must be a real number$"):
+            real([0.5], "v")

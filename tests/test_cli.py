@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -909,6 +910,14 @@ _LIBRARY_ERRORS = {
         lambda: multiplier.operator_norm_via_polynomial(kernels.SymmetricKernel(2, [1.0, 5e307, -5e307])),
         "the weighted maximum of this polynomial overflows double precision",
     ),
+    "symmetric_kernel_2d_weights": (
+        lambda: kernels.SymmetricKernel(1, [[0.5], [0.25]]),
+        r"symmetric kernel needs half_width \+ 1 weights",
+    ),
+    "general_kernel_2d_weights": (
+        lambda: kernels.GeneralKernel(1, [[0.25, 0.5, 0.25]]),
+        r"general kernel needs 2 \* half_width \+ 1 weights",
+    ),
     "lower_bound_check_overflow": (
         lambda: extremal.minimax_lower_bound_check(chebyshev.ChebSeries([1e308, -1e308, 1.0]), 2),
         "the weighted maximum of this polynomial overflows double precision",
@@ -936,6 +945,31 @@ _SIZES = {
     "scaled_symbol": (lambda n: asymptotics.scaled_symbol(n, 1.0), "half width"),
     "verify_identity": (lambda n: asymptotics.verify_identity(n, 0.5), "half width"),
     "beat_bound_check": (lambda n: asymptotics.beat_bound_check(n, 0.5), "order"),
+    "epanechnikov_ratio": (asymptotics.epanechnikov_ratio, "half width"),
+    "run_suite": (lambda n: suites.run_suite("asymptotics", n_max=n), "n_max"),
+    "run_suites": (lambda n: suites.run_suites(["asymptotics"], n_max=n), "n_max"),
+}
+
+# each real scalar or real array argument of the library, as a call on it that returns
+# something comparable, the name its ValueError gives, and a value it accepts;
+# the value is a whole number, so that np.float32 and np.int64 hold it exactly
+_REALS = {
+    "ChebSeries": (lambda c: chebyshev.ChebSeries(c).coeffs, "ChebSeries coefficients", [1, 2]),
+    "transform": (lambda v: chebyshev.transform(v).coeffs, "samples", [1, 2, 3]),
+    "clenshaw_eval": (lambda x: chebyshev.clenshaw_eval(chebyshev.ChebSeries([1, 2]), x), "x", [-1, 0, 1]),
+    "TimeSeries": (lambda v: series.TimeSeries(v).values, "series values", [1, 2, 3]),
+    "l2_norm": (series.l2_norm, "f", [3, 4]),
+    "SymmetricKernel": (lambda w: kernels.SymmetricKernel(1, w).weights, "kernel weights", [1, 0]),
+    "GeneralKernel": (lambda w: kernels.GeneralKernel(1, w).weights, "kernel weights", [0, 1, 0]),
+    "sinc_cos_gap": (asymptotics.sinc_cos_gap, "alpha", [0, 2]),
+    "scaled_symbol": (lambda a: asymptotics.scaled_symbol(4, a), "alpha", [0, 2]),
+    "verify_identity": (lambda x: asymptotics.verify_identity(4, x), "x", [-1, 0]),
+    "beat_bound_check": (lambda x: asymptotics.beat_bound_check(4, x), "x", [-1, 0]),
+    "verify_equioscillation": (
+        lambda tol: extremal.verify_equioscillation(extremal.build_solution(2), tol).failed, "tolerance", 1
+    ),
+    "wave_packet_xi_star": (lambda xi: multiplier.wave_packet(xi, 1.0, 16).values, "xi_star", 1),
+    "wave_packet_sigma": (lambda sigma: multiplier.wave_packet(1.0, sigma, 16).values, "sigma", 2),
 }
 
 # documented CLI errors: arguments, exit code, stderr message;
@@ -965,6 +999,18 @@ class TestDocumentedErrors:
             with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
                 call(value)
         call(np.int64(3))
+
+    @pytest.mark.parametrize("case", list(_REALS))
+    def test_values_are_real(self, case):
+        call, name, good = _REALS[case]
+        for value in (object(), None, "1", 1j, 1 + 0j, np.array([1 + 1j])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy casts complex to real with only a warning
+                with pytest.raises(ValueError, match=f"^{name} must be (a real number|real numbers)$"):
+                    call(value)
+        expected = call(np.float64(good))
+        for kind in (np.float32, np.int64):
+            np.testing.assert_array_equal(call(kind(good)), expected)
 
     @pytest.mark.parametrize("case", list(_CLI_ERRORS))
     def test_cli(self, capsys, tmp_path, case):
