@@ -49,4 +49,5 @@ print("  weighted product (1-x) S(x) at the alternation points:")
 for y, val in zip(sol.alternation_points, clenshaw_eval(sol.q, sol.alternation_points)):
     print(f"    x = {y:+.6f}   value = {val:+.10f}")
 print(f"  alternates between +alpha and -alpha: {report.passed}")
-print(f"  max over a dense grid: {report.grid_max:.10f} (never exceeds alpha)")
+width = (report.upper - report.lower) / sol.alpha
+print(f"  enclosure of the minimax value: {report.lower:.12f} <= alpha* <= {report.upper:.12f} (width {width:.1e} alpha)")

@@ -68,7 +68,8 @@ class ExtremalSolution:
 @dataclass(frozen=True, eq=False)
 class EquioscillationReport:
     residuals: np.ndarray
-    grid_max: float
+    lower: float  # lower <= alpha*, the least max |(1 - x) p| over p(1) = 1 of degree d
+    upper: float  # max |q| over [-1, 1] <= upper
     alpha: float
     measures: tuple[float, float, float]  # one per name in CONDITIONS, in their order
     failed: tuple[str, ...]  # the failing names among CONDITIONS, in their order
@@ -76,6 +77,11 @@ class EquioscillationReport:
     @property
     def passed(self) -> bool:
         return not self.failed
+
+    # perfbench's `construct` op reads the upper end by this name (ROADMAP item 5 deletes such names)
+    @property
+    def grid_max(self) -> float:
+        return self.upper
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ class LowerBoundReport:
 
 
 # the certificate's conditions, as `verify_equioscillation` lists them and reports the failing ones
-CONDITIONS = ("guard", "residuals", "S(1)")
+CONDITIONS = ("upper", "residuals", "S(1)")
 # Taylor terms in `_cosine_sum_at`: the least J with (pi/2)^J / J! e^(pi/2) < 2^-53
 _TAYLOR_TERMS = next(
     J for J in range(1, 64) if (math.pi / 2) ** J / math.factorial(J) * math.exp(math.pi / 2) < 2.0**-53
@@ -116,49 +122,94 @@ def _one_minus_x_times(c: np.ndarray) -> np.ndarray:
     return np.append(c, 0.0) - xp
 
 
+def _suffix_sums(v: np.ndarray) -> np.ndarray:
+    """t_i = sum_{j >= i} v_j for every i, each as Sum2 gives it: within u |t_i| to first order.
+
+    One `np.cumsum` of v reversed adds in order, c_k = fl(c_{k-1} + v_k),
+    so TwoSum (Knuth, TAOCP vol. 2, 4.2.2) gives each addition's exact
+    error; a second `np.cumsum` of those errors is added back to each c_k
+    with one rounding. That is Ogita, Rump and Oishi's Sum2 (SIAM J. Sci.
+    Comput. 26, 2005) on every suffix: its error is at most
+    u |t_i| + gamma_n^2 sum_{j >= i} |v_j|, u = 2^-53.
+    """
+    c = np.cumsum(v[::-1])
+    a, b, s = c[:-1], v[-2::-1], c[1:]
+    bb = s - a
+    c[1:] += np.cumsum((a - (s - bb)) + (b - bb))
+    return c[::-1]
+
+
 def build_solution(d: int) -> ExtremalSolution:
     """Construct the degree-d minimax solution; it stores S alone.
 
-    S(x) = -alpha T_N(L(x)) / (1 - x), N = d + 1, is sampled at cheb_nodes(N),
-    x = cos(theta), in closed form. With s = sin(theta/2) and
-    c = sin^2(pi/4N), arcsin(r) = arccos(L(x))/2 - pi/4N for
-    r = sqrt(1-c) s^2 / (sqrt(c + (1-c) s^2) + sqrt(c) cos(theta/2)), so
-    S(cos theta) = alpha sin(2N arcsin r) / (2 s^2). No term cancels and the
-    nodes avoid theta = 0. One transform gives S. Everything else the
+    q(x) = -alpha T_N(L(x)), N = d + 1, is sampled at cheb_nodes(M),
+    x = cos(theta), with M = `gridsearch.fft_length(N + 1)` (the FFT is
+    fast at such lengths), in closed form: with a = pi/4N and
+    beta = theta/2, L(x) = T_2(cos a cos beta), so q = -alpha cos(2N gamma)
+    with gamma = arccos(cos a cos beta) in [beta, beta + a]. The phase is
+    split as 2N gamma = 2N (gamma - beta) + N theta, where
+    sin(gamma - beta) = cos beta sin^2 a / (sin gamma + cos a sin beta) and
+    sin gamma = sqrt(sin^2 a + cos^2 a sin^2 beta) have no cancellation,
+    2N (gamma - beta) <= pi/2, and N theta_j = pi N (2j + 1) / 2M is reduced
+    mod 2 pi in integers. So |q| <= alpha at every sample and no term
+    cancels. One transform gives q's coefficients c_0..c_N; those past N
+    are rounding noise and are dropped. Undoing (1 - x) S = q
+    (`_one_minus_x_times`) from the top down, with r_i = sum_{j >= i} c_j:
+    S_k = -2 sum_{i > k} r_i for k >= 1, and S_0 = S_1 - S_2 / 2 - c_1.
+    Both sums are compensated (`_suffix_sums`). Everything else the
     solution offers, q = (1 - x) S and the alternation points among it, is
     derived from S on each read, so `verify_equioscillation`, which decides
-    the three conditions of the certificate from them, checks the polynomial
-    that becomes the kernel.
+    the certificate from them, checks the polynomial that becomes the kernel.
 
-    Raises ConstructionError unless S(1) = sum(c_k) is 1 within
-    tol = u (64 Lambda + 16 (1 + log2 N) ||v||_2), u = 2^-53, where v are
-    the samples and Lambda = 1 + (2/pi) ln N bounds the nodes' Lebesgue
-    constant. Each sample is off by at most 64u: a first-order bound over its
-    rounded operations, with alpha N arcsin(r) / s^2 <= pi / cos(pi/4N)
-    capping the effect of the phase error. FFT rounding moves sum(c_k) by
-    at most 2 eta log2(N) ||v||_2 with eta = 7u per stage (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2); the
-    extra stage covers the twiddle and scaling pass. At N = 4097 the bound is
-    6.3e-14; observed errors stay below 7e-16.
+    In exact arithmetic these steps give S(1) = sum S_k = -sum_k k^2 c_k,
+    which is -q'(1) = 1 for the exact c. Raises ConstructionError unless
+    the correctly rounded sum `math.fsum(S)` is 1 within
+    tol = u (K alpha (64 sqrt(2) + 14 (1 + log2 M)) + 4 ||S||_1
+    + (2N + 1) ||r||_1 + 1), u = 2^-53, K^2 = sum_{k <= N} k^4; then S is
+    divided by that sum. The terms, to first order:
+    - Samples. Counting the rounded operations, alpha's 6 u and the
+      reduced phase's included, each sample is within 64 alpha u of q at its
+      node. The transform's rows k >= 1 are orthogonal with norm
+      sqrt(2/M), so the errors move c by at most 64 sqrt(2) alpha u in the
+      2-norm, and S(1) by K times that (Cauchy-Schwarz against the k^2).
+    - Transform. Its FFT moves c by at most 2 eta (1 + log2 M) ||v||_2 /
+      sqrt(M) <= 2 eta (1 + log2 M) alpha in the 2-norm, v the samples, with
+      eta = 7 u per stage (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., Thm 24.2; the extra stage covers the twiddle and
+      scaling pass), and S(1) by K times that.
+    - Division. Each suffix sum errs by u relative; summing over k what
+      S_1..S_{N-1} inherit and S_0's two roundings gives
+      u (4 ||S||_1 + (2N + 1) ||r||_1), and fsum adds u.
+    At N = 4097 the bound is 1.4e-12; at N = 65 it is 1.2e-13, so samples
+    moved by 1e-12 relative trip it there.
     """
     d = integer(d, "degree")
     if not 0 <= d <= MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
     N = d + 1
+    M = fft_length(N + 1)
     alpha = alpha_closed_form(d)
-    c = math.sin(math.pi / (4 * N)) ** 2
-    half = (np.arange(N) + 0.5) * (math.pi / (2 * N))
-    s2 = np.sin(half) ** 2
-    h = np.sqrt(c + (1.0 - c) * s2)
-    r = math.sqrt(1.0 - c) * s2 / (h + math.sqrt(c) * np.cos(half))
-    v = alpha * np.sin(2 * N * np.arcsin(r)) / (2.0 * s2)
-    S = transform(v)
-    lebesgue = 1.0 + 2.0 / math.pi * math.log(N)
-    tol = 2.0**-53 * (64.0 * lebesgue + 16.0 * (1.0 + math.log2(N)) * float(np.linalg.norm(v)))
-    at_one = float(np.sum(S.coeffs))
+    a = math.pi / (4 * N)
+    sin2a, cos_a = math.sin(a) ** 2, math.cos(a)
+    odd = np.arange(1, 2 * M, 2)
+    beta = odd * (math.pi / (4 * M))  # theta_j / 2 at cheb_nodes(M)
+    cos_a_sin_b = cos_a * np.sin(beta)
+    sin_gamma = np.sqrt(sin2a + cos_a_sin_b * cos_a_sin_b)
+    gamma_minus_beta = np.arcsin(np.cos(beta) * sin2a / (sin_gamma + cos_a_sin_b))
+    v = -alpha * np.cos(2 * N * gamma_minus_beta + (N * odd % (4 * M)) * (math.pi / (2 * M)))
+    c = transform(v).coeffs[: N + 1]
+    r = _suffix_sums(c[2:])  # r_i for i = 2..N
+    S = np.zeros(N + 2)  # S_0..S_{N+1}, with S_N = S_{N+1} = 0
+    S[1:N] = -2.0 * _suffix_sums(r)
+    S[0] = S[1] - 0.5 * S[2] - c[1]
+    S = S[:N]
+    K = math.sqrt(N * (N + 1) * (2 * N + 1) * (3 * N * N + 3 * N - 1) // 30)  # K^2 = sum_{k <= N} k^4, in integers
+    sizes = 4.0 * float(np.abs(S).sum()) + (2 * N + 1) * float(np.abs(r).sum())
+    tol = 2.0**-53 * (K * alpha * (64.0 * math.sqrt(2.0) + 14.0 * (1.0 + math.log2(M))) + sizes + 1.0)
+    at_one = math.fsum(memoryview(S))  # a memoryview yields Python floats, faster than a list or the array
     if not abs(at_one - 1.0) <= tol:
         raise ConstructionError(f"S(1) = {at_one!r} is not 1 within {tol:.3g}")
-    return ExtremalSolution(S)
+    return ExtremalSolution(ChebSeries(S / at_one))
 
 
 def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -214,41 +265,72 @@ def _cosine_sum_at(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lebesgue_bound(N: int) -> float:
+    """An upper bound on the Lebesgue constant of the N + 1 points {1, y_1, ..., y_N} of a degree-(N - 1) solution.
+
+    The Lagrange basis does not change under the affine map t = L(x), which
+    takes the points to t_0 = cos(pi/2N) and t_i = cos(i pi/N), i = 1..N, and
+    [-1, 1] onto [-1, t_0]. For i >= 1, l_i differs from the basis
+    polynomial l_i^L of the Chebyshev-Lobatto points cos(i pi/N), i = 0..N,
+    only in the factor for the first point:
+    l_i(t) / l_i^L(t) = ((t_0 - t) / (1 - t)) ((1 - t_i) / (t_0 - t_i)), whose
+    first factor lies in [0, 1] on [-1, t_0] and whose second is at most
+    rho_N = 1 + (1 - t_0) / (t_0 - t_1). Since
+    prod_{i >= 1} (t - t_i) = (t + 1) U_{N-1}(t) / 2^(N-1), with t = cos(phi),
+    |l_0| = cot(phi/2) |sin(N phi)| / cot(pi/4N) <= 1. The Lobatto Lebesgue
+    constant is at most (2/pi) ln(N + 1) + 1 (Trefethen, Approximation
+    Theory and Approximation Practice, Thm 15.2), so the bound is
+    rho_N ((2/pi) ln(N + 1) + 1) + 1: 4.8, 7.1 and 8.2 at N = 17, 257 and 1025.
+    """
+    t0 = math.cos(math.pi / (2 * N))
+    rho = 1.0 + (1.0 - t0) / (t0 - math.cos(math.pi / N))
+    return rho * (2.0 / math.pi * math.log(N + 1) + 1.0) + 1.0
+
+
 def verify_equioscillation(sol: ExtremalSolution, tol: float) -> EquioscillationReport:
-    """Decide the equioscillation certificate of sol from q = (1 - x) S, derived from sol.S.
+    """Decide the certificate of sol: an enclosure lower <= alpha* <= upper, from q = (1 - x) S.
 
     Failures are reported, not raised. Each of the three conditions in
     `CONDITIONS` has one measure, and it holds iff its measure is at most
-    tol (a nan measure fails). With c the coefficients of sol.q:
-    - the guard: grid_max / alpha - 1, relative, with grid_max the grid
-      maximum of |q|;
-    - the residuals: the largest |q(y_i) + alpha (-1)^i| over the
-      alternation points y_i of sol, which lie in [-1, 1) with y_N = -1
-      exactly; absolute;
+    tol (a nan measure fails). With c the coefficients of sol.q and alpha
+    from `alpha_closed_form`:
+    - upper: upper / alpha - 1, with max |q| <= upper on [-1, 1];
+    - residuals: the largest |q(y_i) + alpha (-1)^i| over the alternation
+      points y_i of sol, divided by min(1, alpha): relative for d >= 1;
     - S(1): |S(1) - 1|, with S(1) the sum of sol.S's coefficients; absolute.
-    The report carries the residuals, the grid maximum, the three measures
-    in `CONDITIONS` order and the names of the failing conditions, in that
-    order too; it passes iff none fails. q(1) = 0 needs no condition: the
-    coefficients of (1 - x) p sum to sum(p_k) - sum(p_k).
+    The report carries the residuals, both ends, the three measures in
+    `CONDITIONS` order and the names of the failing conditions, in that
+    order too; it passes iff none fails.
+
+    The enclosure. Let q_e = -alpha T_N(L(x)) be the exact product, N = d + 1:
+    |q_e| <= alpha on [-1, 1], q_e(y_i) = -alpha (-1)^i and q_e(1) = 0. The
+    difference q - q_e has degree at most N, so it is the interpolant of its
+    values at the N + 1 points {1, y_1, ..., y_N}: the residuals and q(1),
+    taken as `math.fsum` of c, correctly rounded. With Lambda =
+    `_lebesgue_bound(N)`,
+    upper = alpha + Lambda (max(largest residual, |q(1)|) + E).
+    And q alternates in sign at the d + 1 points y_i in [-1, 1) with
+    |q(y_i)| >= alpha - (largest residual + E). The q = (1 - x) p with
+    p(1) = 1 differ from each other by (1 - x)^2 times a polynomial of
+    degree d - 1, a Haar space of dimension d on [-1, 1), so by de la Vallee
+    Poussin (Trefethen, Approximation Theory and Approximation Practice,
+    ch. 10) no p of degree d with p(1) = 1 has max |(1 - x) p| below
+    lower = alpha - (largest residual + E), given S(1) = 1. Since
+    Lambda >= 1, alpha - lower <= upper - alpha, and the upper measure is
+    never below the residuals' (at d = 0, where alpha = 2, Lambda = 3.88):
+    the upper condition holds both ends within tol alpha of alpha. Both ends are of q as sol.q forms it from S; the
+    rounding of forming it is in neither.
 
     q(y_i) = sum_k c_k cos(k theta_i), theta_i = arccos(y_i), comes from
     `_cosine_sum_at`: a Taylor model in the offset from the nearest node of a
     grid of L = `gridsearch.fft_length` of 2 (N + 1) points, J = 22 terms
     in an upward sum from one running row, whose blocks of at most 2^14
-    outputs each go through one rfft. Its error is below
-    e^(pi/2) (u ||c||_1 + 7 u (1 + log2 L) sqrt(L) ||c||_2 + 5 J u ||c||_1)
+    outputs each go through one rfft. Its error is at most
+    E = e^(pi/2) u ((1 + 5 J) ||c||_1 + 7 (1 + log2 L) sqrt(L) ||c||_2)
     with u = 2^-53, ||c||_1 about 2 alpha and ||c||_2 about alpha: 5.0e-12
     alpha at N = 4097, where it is within 1.4e-15 alpha of a longdouble sum.
-
-    The guard's grid is theta_j = 2 pi j / L, j = 0..L/2, with
-    L = `gridsearch.fft_length` of 2 (10 N - 1): at least 10 N points from 0
-    to pi, no wider apart than pi / (10 N - 1). Since
-    (1 - cos theta) S(cos theta) = sum_k c_k cos(k theta), the grid values
-    are the real part of one zero-padded rfft of c. The transform is of q and
-    not of S: S's coefficients are O(1/N) and cancel to about alpha/2 near
-    x = -1, so any evaluation from them is off by about eps sum |S_k|, some
-    1e-9 alpha at N = 4097. Those of q are O(alpha): at N = 4097 the rfft is
-    within 1e-15 alpha of a longdouble sum.
+    Rounding in the points theta_i moves each value only at second order,
+    since q_e is extremal there.
     """
     tol = real(tol, "tolerance")
     if tol <= 0:
@@ -259,16 +341,23 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     alpha = sol.alpha
     c = sol.q.coeffs
     theta = np.arccos(sol.alternation_points)
-    residuals = np.abs(_cosine_sum_at(c, theta) + alpha * (-1.0) ** np.arange(1, N + 1))
-    grid = np.fft.rfft(c, fft_length(2 * (10 * N - 1))).real
-    grid_max = float(max(grid.max(), -grid.min()))
+    signs = np.ones(N)
+    signs[::2] = -1.0  # (-1)^i for i = 1..N
+    residuals = np.abs(_cosine_sum_at(c, theta) + alpha * signs)
+    worst = float(np.max(residuals))
+    L = fft_length(2 * c.size)
+    l1, l2 = float(np.abs(c).sum()), float(np.linalg.norm(c))
+    # E, `_cosine_sum_at`'s error bound
+    error = math.exp(math.pi / 2) * 2.0**-53 * ((1 + 5 * _TAYLOR_TERMS) * l1 + 7 * (1 + math.log2(L)) * L**0.5 * l2)
+    upper = alpha + _lebesgue_bound(N) * (max(worst, abs(math.fsum(memoryview(c)))) + error)
+    lower = alpha - (worst + error)
     measures = (
-        grid_max / alpha - 1.0,
-        float(np.max(residuals)),
+        upper / alpha - 1.0,
+        worst / min(1.0, alpha),
         abs(float(np.sum(sol.S.coeffs)) - 1.0),
     )
     failed = tuple(name for name, value in zip(CONDITIONS, measures) if not value <= tol)
-    return EquioscillationReport(residuals, grid_max, alpha, measures, failed)
+    return EquioscillationReport(residuals, lower, upper, alpha, measures, failed)
 
 
 def weighted_max(p: ChebSeries) -> tuple[float, float]:

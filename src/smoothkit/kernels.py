@@ -116,8 +116,17 @@ def optimal_kernel(n: int) -> SymmetricKernel:
     return SymmetricKernel(n, w)
 
 
-def symmetrize(u: GeneralKernel) -> SymmetricKernel:
-    """Average a kernel with its reflection: w_k = (u(k) + u(-k)) / 2."""
+def _kernel(u):
+    """u itself if it is a SymmetricKernel or a GeneralKernel; anything else raises ValueError naming it."""
+    if not isinstance(u, (SymmetricKernel, GeneralKernel)):
+        raise ValueError("u must be a SymmetricKernel or a GeneralKernel")
+    return u
+
+
+def symmetrize(u: SymmetricKernel | GeneralKernel) -> SymmetricKernel:
+    """Average a kernel with its reflection: w_k = (u(k) + u(-k)) / 2; a SymmetricKernel is returned as it is."""
+    if isinstance(_kernel(u), SymmetricKernel):
+        return u
     n = u.half_width
     w = u.weights
     return SymmetricKernel(n, 0.5 * (w[n:] + w[n::-1]))
@@ -136,7 +145,7 @@ def to_polynomial(u: SymmetricKernel) -> ChebSeries:
 
 def full_weights(u: SymmetricKernel | GeneralKernel) -> np.ndarray:
     """Weights laid out over k = -n..n for either kernel representation."""
-    if isinstance(u, SymmetricKernel):
+    if isinstance(_kernel(u), SymmetricKernel):
         w = u.weights
         return np.concatenate([w[:0:-1], w])
     return u.weights.copy()

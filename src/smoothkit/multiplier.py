@@ -23,7 +23,7 @@ from .chebyshev import clenshaw_eval, integer, real
 from .extremal import alpha_closed_form, weighted_max
 from .gridsearch import maximize, sample_count
 from .kernels import GeneralKernel, SymmetricKernel, full_weights, to_polynomial
-from .series import TimeSeries, l2_norm
+from .series import TimeSeries, _series, l2_norm
 
 __all__ = [
     "MultiplierBound",
@@ -232,8 +232,9 @@ def rayleigh_quotient(u: SymmetricKernel | GeneralKernel, m: int, f: TimeSeries)
     m = integer(m, "difference order")
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"difference order must be in [1, {MAX_ORDER}]")
-    _, e = np.frexp(np.max(np.abs(f.values)))
-    v = np.ldexp(f.values, -e)
+    values = _series(f).values
+    _, e = np.frexp(np.max(np.abs(values)))
+    v = np.ldexp(values, -e)
     fnorm = l2_norm(v)
     if fnorm == 0.0:
         raise ValueError("signal must not be identically zero")

@@ -80,6 +80,13 @@ class TimeSeries:
         return self.values.size
 
 
+def _series(f) -> TimeSeries:
+    """f itself if it is a TimeSeries; anything else, a plain array too, raises ValueError naming it."""
+    if not isinstance(f, TimeSeries):
+        raise ValueError("f must be a TimeSeries")
+    return f
+
+
 def convolve(u: SymmetricKernel | GeneralKernel, f: TimeSeries, boundary: str = "reflect") -> TimeSeries:
     """Local average u * f on the window, under the chosen boundary mode.
 
@@ -89,9 +96,9 @@ def convolve(u: SymmetricKernel | GeneralKernel, f: TimeSeries, boundary: str = 
     """
     if boundary not in BOUNDARY_MODES:
         raise ValueError(f"boundary must be one of {BOUNDARY_MODES}")
-    n = u.half_width
     w = full_weights(u)
-    v = f.values
+    n = u.half_width
+    v = _series(f).values
     if boundary == "valid":
         if v.size < 2 * n + 1:
             raise ValueError("series shorter than the kernel support")
@@ -109,6 +116,7 @@ def convolve(u: SymmetricKernel | GeneralKernel, f: TimeSeries, boundary: str = 
 
 def derivative(f: TimeSeries, m: int) -> TimeSeries:
     """m-th forward difference; length shrinks by m."""
+    f = _series(f)
     m = integer(m, "difference order")
     if m < 1:
         raise ValueError("difference order must be at least 1")
@@ -379,6 +387,7 @@ def read_csv(path: str | os.PathLike, column: str, label_column: str | None = No
 
 def write_csv(path: str | os.PathLike, f: TimeSeries, column: str = "value") -> None:
     """Write the series with 17 significant digits, so a read round-trips exactly."""
+    f = _series(f)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         cells = _cells(f.values)

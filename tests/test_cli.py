@@ -918,6 +918,18 @@ _LIBRARY_ERRORS = {
         lambda: kernels.GeneralKernel(1, [[0.25, 0.5, 0.25]]),
         r"general kernel needs 2 \* half_width \+ 1 weights",
     ),
+    "rayleigh_quotient_of_an_array": (
+        lambda: multiplier.rayleigh_quotient(constant_kernel(2), 2, np.arange(8.0)),
+        "f must be a TimeSeries",
+    ),
+    "convolve_an_array": (lambda: series.convolve(constant_kernel(2), np.arange(8.0)), "f must be a TimeSeries"),
+    "derivative_of_an_array": (lambda: series.derivative(np.arange(8.0), 1), "f must be a TimeSeries"),
+    # the check comes before the file is opened, so os.devnull is never written
+    "write_csv_of_an_array": (lambda: series.write_csv(os.devnull, np.arange(3.0)), "f must be a TimeSeries"),
+    "operator_norm_of_a_list": (
+        lambda: operator_norm([0.5, 0.5], 1),
+        "u must be a SymmetricKernel or a GeneralKernel",
+    ),
     "lower_bound_check_overflow": (
         lambda: extremal.minimax_lower_bound_check(chebyshev.ChebSeries([1e308, -1e308, 1.0]), 2),
         "the weighted maximum of this polynomial overflows double precision",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from smoothkit import asymptotics, extremal, gridsearch, multiplier
 from smoothkit.chebyshev import ChebSeries
-from smoothkit.gridsearch import maximize, polish, refine_grid_max, resolve_ties, sample_count, select_peaks
+from smoothkit.gridsearch import fft_length, maximize, polish, refine_grid_max, resolve_ties, sample_count, select_peaks
 from smoothkit.kernels import SymmetricKernel, epanechnikov_kernel, full_weights, optimal_kernel
 from smoothkit.suites import _random_general as random_general
 from smoothkit.suites import _random_symmetric as random_symmetric
@@ -285,6 +285,19 @@ class TestSelectPeaks:
         chosen = select_peaks(fs)
         assert chosen.size == 12
         assert np.all(np.diff(fs[chosen]) <= 0)
+
+
+class TestFftLength:
+    def test_length_is_smallest_even_5_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for L in range(1, 5001):
+            brute = next(m for m in range(L + L % 2, 2 * L + 3, 2) if smooth(m))
+            assert fft_length(L) == brute, L
 
 
 class TestSampleCount:

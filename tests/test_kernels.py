@@ -123,6 +123,21 @@ class TestSymmetrize:
         u = GeneralKernel(2, [0.0, 0.0, 0.0, 0.0, 1.0])
         assert_allclose(full_weights(symmetrize(u)), [0.5, 0.0, 0.0, 0.0, 0.5])
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [triangle_kernel(2), epanechnikov_kernel(3), constant_kernel(3)],
+        ids=["triangle", "epanechnikov", "constant"],
+    )
+    def test_symmetric_kernel_is_returned_unchanged(self, kernel):
+        # its half-width weights w_0..w_n are not the 2n + 1 general layout, and need no averaging
+        assert symmetrize(kernel) is kernel
+        general = GeneralKernel(kernel.half_width, full_weights(kernel))
+        assert symmetrize(general).weights.tolist() == kernel.weights.tolist()
+
+    def test_rejects_what_is_not_a_kernel(self):
+        with pytest.raises(ValueError, match="^u must be a SymmetricKernel or a GeneralKernel$"):
+            symmetrize([0.25, 0.5, 0.25])
+
     @given(st.integers(0, 8), st.integers(0, 2**32 - 1))
     def test_idempotent_and_normalized(self, n, seed):
         rng = np.random.default_rng(seed)
