@@ -71,7 +71,7 @@ class EquioscillationReport:
     lower: float  # lower <= alpha*, the least max |(1 - x) p| over p(1) = 1 of degree d
     upper: float  # max |q| over [-1, 1] <= upper
     alpha: float
-    measures: tuple[float, float, float]  # one per name in CONDITIONS, in their order
+    measures: tuple[float, float]  # one per name in CONDITIONS, in their order
     failed: tuple[str, ...]  # the failing names among CONDITIONS, in their order
 
     @property
@@ -93,7 +93,7 @@ class LowerBoundReport:
 
 
 # the certificate's conditions, as `verify_equioscillation` lists them and reports the failing ones
-CONDITIONS = ("upper", "residuals", "S(1)")
+CONDITIONS = ("upper", "S(1)")
 # Taylor terms in `_cosine_sum_at`: the least J with (pi/2)^J / J! e^(pi/2) < 2^-53
 _TAYLOR_TERMS = next(
     J for J in range(1, 64) if (math.pi / 2) ** J / math.factorial(J) * math.exp(math.pi / 2) < 2.0**-53
@@ -290,17 +290,16 @@ def _lebesgue_bound(N: int) -> float:
 def verify_equioscillation(sol: ExtremalSolution, tol: float) -> EquioscillationReport:
     """Decide the certificate of sol: an enclosure lower <= alpha* <= upper, from q = (1 - x) S.
 
-    Failures are reported, not raised. Each of the three conditions in
+    Failures are reported, not raised. Each of the two conditions in
     `CONDITIONS` has one measure, and it holds iff its measure is at most
     tol (a nan measure fails). With c the coefficients of sol.q and alpha
     from `alpha_closed_form`:
     - upper: upper / alpha - 1, with max |q| <= upper on [-1, 1];
-    - residuals: the largest |q(y_i) + alpha (-1)^i| over the alternation
-      points y_i of sol, divided by min(1, alpha): relative for d >= 1;
     - S(1): |S(1) - 1|, with S(1) the sum of sol.S's coefficients; absolute.
-    The report carries the residuals, both ends, the three measures in
-    `CONDITIONS` order and the names of the failing conditions, in that
-    order too; it passes iff none fails.
+    The report carries the residuals |q(y_i) + alpha (-1)^i| at sol's
+    alternation points y_i, both ends, the two measures and the failing
+    names, both in `CONDITIONS` order; it passes iff none fails. A sol that
+    is not an ExtremalSolution raises ValueError.
 
     The enclosure. Let q_e = -alpha T_N(L(x)) be the exact product, N = d + 1:
     |q_e| <= alpha on [-1, 1], q_e(y_i) = -alpha (-1)^i and q_e(1) = 0. The
@@ -315,11 +314,12 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     degree d - 1, a Haar space of dimension d on [-1, 1), so by de la Vallee
     Poussin (Trefethen, Approximation Theory and Approximation Practice,
     ch. 10) no p of degree d with p(1) = 1 has max |(1 - x) p| below
-    lower = alpha - (largest residual + E), given S(1) = 1. Since
-    Lambda >= 1, alpha - lower <= upper - alpha, and the upper measure is
-    never below the residuals' (at d = 0, where alpha = 2, Lambda = 3.88):
-    the upper condition holds both ends within tol alpha of alpha. Both ends are of q as sol.q forms it from S; the
-    rounding of forming it is in neither.
+    lower = alpha - (largest residual + E), given S(1) = 1. Lambda >=
+    max(1, alpha) (at d = 0, alpha = 2 and Lambda = 3.88), so
+    alpha - lower <= upper - alpha and upper / alpha - 1 >= largest
+    residual / min(1, alpha): "upper" alone holds both ends within tol alpha
+    of alpha, and every residual within tol min(1, alpha). Both ends are of
+    q as sol.q forms it from S; the rounding of forming it is in neither.
 
     q(y_i) = sum_k c_k cos(k theta_i), theta_i = arccos(y_i), comes from
     `_cosine_sum_at`: a Taylor model in the offset from the nearest node of a
@@ -332,6 +332,8 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     Rounding in the points theta_i moves each value only at second order,
     since q_e is extremal there.
     """
+    if not isinstance(sol, ExtremalSolution):
+        raise ValueError("sol must be an ExtremalSolution")
     tol = real(tol, "tolerance")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -351,11 +353,7 @@ def verify_equioscillation(sol: ExtremalSolution, tol: float) -> Equioscillation
     error = math.exp(math.pi / 2) * 2.0**-53 * ((1 + 5 * _TAYLOR_TERMS) * l1 + 7 * (1 + math.log2(L)) * L**0.5 * l2)
     upper = alpha + _lebesgue_bound(N) * (max(worst, abs(math.fsum(memoryview(c)))) + error)
     lower = alpha - (worst + error)
-    measures = (
-        upper / alpha - 1.0,
-        worst / min(1.0, alpha),
-        abs(float(np.sum(sol.S.coeffs)) - 1.0),
-    )
+    measures = (upper / alpha - 1.0, abs(float(np.sum(sol.S.coeffs)) - 1.0))
     failed = tuple(name for name, value in zip(CONDITIONS, measures) if not value <= tol)
     return EquioscillationReport(residuals, lower, upper, alpha, measures, failed)
 
@@ -382,8 +380,10 @@ def weighted_max(p: ChebSeries) -> tuple[float, float]:
     |U_m(cos theta)| <= min(m + 1, 1 / sin theta), sum |b_k| is at most
     sum_k k (k + 1) / 2 |c_k|, so the bound can grow with the degree squared;
     it does near theta = 0 and pi, where the b_k do not cancel. A maximum
-    past the largest double raises ValueError.
+    past the largest double raises ValueError, and so does a p that is not a ChebSeries.
     """
+    if not isinstance(p, ChebSeries):
+        raise ValueError("p must be a ChebSeries")
 
     def weighted(theta):
         x = np.cos(theta)
@@ -403,9 +403,11 @@ def minimax_lower_bound_check(p: ChebSeries, d: int) -> LowerBoundReport:
     """Confirm max |(1-x) p(x)| >= alpha(d) for a challenger p with p(1) = 1.
 
     The maximum is `weighted_max`'s, on `gridsearch.sample_count(p.degree + 2)` points;
-    one past the largest double raises ValueError.
+    one past the largest double raises ValueError, and so does a p that is not a ChebSeries.
     """
-    if p.degree > d:
+    if not isinstance(p, ChebSeries):
+        raise ValueError("p must be a ChebSeries")
+    if p.degree > integer(d, "degree"):
         raise ValueError("challenger degree exceeds the stated bound")
     if abs(float(np.sum(p.coeffs)) - 1.0) > 1e-9:
         raise ValueError("challenger must satisfy p(1) = 1")

@@ -136,8 +136,10 @@ def to_polynomial(u: SymmetricKernel) -> ChebSeries:
     """Cosine-series polynomial of the kernel: p_u = w_0 + sum 2 w_k T_k.
 
     p_u(cos xi) equals the kernel's Fourier transform at xi, and p_u(1) = 1
-    restates the normalization.
+    restates the normalization. Any u but a SymmetricKernel raises ValueError.
     """
+    if not isinstance(u, SymmetricKernel):
+        raise ValueError("u must be a SymmetricKernel")
     c = u.weights.copy()
     c[1:] *= 2.0
     return ChebSeries(c)
@@ -160,7 +162,7 @@ def write_kernel_csv(u: SymmetricKernel | GeneralKernel, path_or_file) -> None:
     """
     from .series import _CELL  # series imports this module
 
-    w = u.weights.tolist()
+    w = _kernel(u).weights.tolist()
     symmetric = isinstance(u, SymmetricKernel)
     ks = range(0 if symmetric else -u.half_width, u.half_width + 1)
     rows = (f"%d,{_CELL}\n" * len(w)) % tuple(itertools.chain.from_iterable(zip(ks, w)))

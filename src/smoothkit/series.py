@@ -68,7 +68,7 @@ class TimeSeries:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        v = finite_vector(self.values, "series values", "series needs at least one value")
+        v = finite_vector(self.values, "series values", "TimeSeries needs a non-empty 1-D list of values")
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != v.size:

@@ -2,6 +2,7 @@
 
 Each is a direct closed form, independent of the library's Clenshaw
 recurrence and DCT, so agreement between the two is evidence for both.
+The module also draws the random challengers of the lower-bound tests.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ import math
 
 import numpy as np
 
-from smoothkit.chebyshev import CLAMP_BAND
+from smoothkit import suites
+from smoothkit.chebyshev import CLAMP_BAND, ChebSeries
 
 
 def _domain(x) -> np.ndarray:
@@ -52,3 +54,8 @@ def stretch_map(d: int, x):
     scale = 0.5 * (1.0 + math.cos(math.pi / (2 * (d + 1))))
     out = scale * (np.asarray(x, dtype=float) + 1.0) - 1.0
     return float(out) if np.ndim(x) == 0 else out
+
+
+def random_unit_at_one(rng, d: int) -> ChebSeries:
+    """A random degree-d challenger p with p(1) = 1: normal coefficients over their sum, redrawn while |sum| <= 0.05."""
+    return ChebSeries(suites._draw(rng, d + 1, 0.05, np.sum))

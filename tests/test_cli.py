@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -663,7 +664,7 @@ class TestVerifyCommand:
         assert [(name, [c["name"] for c in s["checks"]]) for name, s in suites.items()] == [
             (
                 "extremal",
-                ["alpha_monotone_decreasing", "equioscillation", "alternation_count", "random_challengers"],
+                ["alpha_monotone_decreasing", "equioscillation", "alternation_count"],
             ),
             (
                 "multiplier",
@@ -702,6 +703,15 @@ class TestVerifyCommand:
         ):
             assert details[name].startswith(prefix)
             assert 0.0 <= float(details[name][len(prefix):]) <= limit
+        # the certificate's sweep gives its worst residual and both ends' worst distance from alpha
+        number = r"([0-9.e+-]+)"
+        worst = re.fullmatch(
+            rf"d <= 16, worst residual/min\(1, alpha\) {number}, worst upper/alpha - 1 {number}, "
+            rf"worst \(alpha - lower\)/alpha {number}",
+            details["equioscillation"],
+        )
+        assert worst, details["equioscillation"]
+        assert all(0.0 <= float(value) <= 1e-9 for value in worst.groups())
 
     @pytest.mark.parametrize("n_max", ["-5", "0", "4097"])
     def test_n_max_out_of_range_is_usage_error(self, capsys, n_max):
@@ -934,6 +944,27 @@ _LIBRARY_ERRORS = {
         lambda: extremal.minimax_lower_bound_check(chebyshev.ChebSeries([1e308, -1e308, 1.0]), 2),
         "the weighted maximum of this polynomial overflows double precision",
     ),
+    # a GeneralKernel's 2n + 1 weights are not half-width weights; read as them, these would sum to 1.75
+    "to_polynomial_of_a_general_kernel": (
+        lambda: kernels.to_polynomial(kernels.GeneralKernel(1, [0.25, 0.5, 0.25])),
+        "u must be a SymmetricKernel",
+    ),
+    # the check comes before the file is opened, so os.devnull is never written
+    "write_kernel_csv_of_a_list": (
+        lambda: write_kernel_csv([0.5], os.devnull),
+        "u must be a SymmetricKernel or a GeneralKernel",
+    ),
+    "verify_equioscillation_of_a_series": (
+        lambda: extremal.verify_equioscillation(chebyshev.ChebSeries([1.0]), 1e-9),
+        "sol must be an ExtremalSolution",
+    ),
+    "lower_bound_check_of_a_list": (lambda: extremal.minimax_lower_bound_check([1.0], 1), "p must be a ChebSeries"),
+    "weighted_max_of_a_list": (lambda: extremal.weighted_max([1.0]), "p must be a ChebSeries"),
+    "time_series_2d_values": (
+        lambda: series.TimeSeries([[1.0, 2.0]]),
+        "TimeSeries needs a non-empty 1-D list of values",
+    ),
+    "time_series_empty": (lambda: series.TimeSeries([]), "TimeSeries needs a non-empty 1-D list of values"),
 }
 
 # each size or order argument of the library, as a call on it and the name its ValueError gives
@@ -960,6 +991,10 @@ _SIZES = {
     "epanechnikov_ratio": (asymptotics.epanechnikov_ratio, "half width"),
     "run_suite": (lambda n: suites.run_suite("asymptotics", n_max=n), "n_max"),
     "run_suites": (lambda n: suites.run_suites(["asymptotics"], n_max=n), "n_max"),
+    "minimax_lower_bound_check": (
+        lambda d: extremal.minimax_lower_bound_check(chebyshev.ChebSeries([1.0]), d),
+        "degree",
+    ),
 }
 
 # each real scalar or real array argument of the library, as a call on it that returns

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import eval_T, stretch_map
+from oracles import eval_T, random_unit_at_one, stretch_map
 from smoothkit import extremal, kernels
 from smoothkit.chebyshev import ChebSeries, clenshaw_eval, transform
 from smoothkit.extremal import (
@@ -17,7 +17,6 @@ from smoothkit.extremal import (
     verify_equioscillation,
 )
 from smoothkit.gridsearch import fft_length, sample_count
-from smoothkit.suites import _random_unit_at_one
 
 
 class TestAlpha:
@@ -213,38 +212,46 @@ class TestResiduals:
         assert float(np.max(np.abs(report.residuals - ref))) <= 1e-13 * sol.alpha
 
     def test_perturbed_q_fails_through_the_residuals(self):
-        # S = 1 - 6e-10 at d = 0: q(-1) = 2 S is 1.2e-9 low, and S(1) stays within tol; the upper
-        # end fails with the residuals, since its measure is never below theirs (Lambda(1) = 3.88 >= alpha = 2)
+        # S = 1 - 6e-10 at d = 0: q(-1) = 2 S is 1.2e-9 low, and S(1) stays within tol; the residual lifts the
+        # upper end past tol, since its measure is never below the residual's (Lambda(1) = 3.88 >= alpha = 2)
         sol = build_solution(0)
         report = verify_equioscillation(dataclasses.replace(sol, S=ChebSeries(sol.S.coeffs * (1 - 6e-10))), 1e-9)
-        assert report.failed == ("upper", "residuals")
+        assert report.failed == ("upper",)
         assert float(np.max(report.residuals)) > 1e-9
-        assert report.measures[0] >= report.measures[1]
+        assert report.measures[0] >= float(np.max(report.residuals)) / min(1.0, report.alpha)
 
     def test_moved_s_at_one_fails(self):
-        # S (1 - 2e-9) moves S(1) by 2e-9 > tol and q by 2e-9 alpha, past the sharpened residual tolerance
+        # S (1 - 2e-9) moves S(1) by 2e-9 > tol and q by 2e-9 alpha, past tol for the upper end
         sol = build_solution(64)
         report = verify_equioscillation(dataclasses.replace(sol, S=ChebSeries(sol.S.coeffs * (1 - 2e-9))), 1e-9)
-        assert report.failed == ("upper", "residuals", "S(1)")
-        assert report.measures[2] == pytest.approx(2e-9, rel=1e-6)
+        assert report.failed == ("upper", "S(1)")
+        assert report.measures[1] == pytest.approx(2e-9, rel=1e-6)
         assert verify_equioscillation(sol, 1e-9).passed
 
     @staticmethod
     def scaled(factor):
         return lambda sol: dataclasses.replace(sol, S=ChebSeries(sol.S.coeffs * factor))
 
+    @staticmethod
+    def bumped(sol):
+        """S - 5e-10 (T_0 - T_1): q gains -5e-10 (1 - x)^2, which is -2e-9 at x = -1, and S(1) keeps its value."""
+        S = sol.S.coeffs.copy()
+        S[:2] += [-5e-10, 5e-10]
+        return dataclasses.replace(sol, S=ChebSeries(S))
+
     @pytest.mark.parametrize(
         "d, change, failed",
         [
             (5, scaled(1.0), ()),
-            (0, scaled(1 - 6e-10), ("upper", "residuals")),
-            (64, scaled(1 - 2e-9), ("upper", "residuals", "S(1)")),
-            # residuals of 5e-10 alpha pass, and Lambda(10) = 4.4 lifts the upper end past 1e-9 alpha
+            (0, scaled(1 - 6e-10), ("upper",)),
+            (64, scaled(1 - 2e-9), ("upper", "S(1)")),
+            # residuals of 5e-10 alpha, and Lambda(10) = 4.4 lifts the upper end past 1e-9 alpha
             (9, scaled(1 + 5e-10), ("upper",)),
         ],
     )
     def test_report_names_the_failed_conditions(self, d, change, failed):
         # the cases of the tests above, each named by the conditions it fails, in extremal.CONDITIONS' order
+        assert extremal.CONDITIONS == ("upper", "S(1)")
         report = verify_equioscillation(change(build_solution(d)), 1e-9)
         assert report.failed == failed
         assert report.passed == (failed == ())
@@ -340,6 +347,28 @@ class TestEnclosure:
         S[round(where * d)] += 1e-8 * sol.alpha
         assert "upper" in verify_equioscillation(dataclasses.replace(sol, S=ChebSeries(S)), 1e-9).failed
 
+    @pytest.mark.parametrize(
+        "d, change",
+        [
+            # the perturbed solutions of the tests, of TestResiduals and of test_suites.py
+            (0, TestResiduals.scaled(1 + 1e-6)),
+            (0, TestResiduals.scaled(1 - 6e-10)),
+            (5, TestResiduals.scaled(1 + 5e-10)),
+            (7, TestResiduals.bumped),
+            (9, TestResiduals.scaled(1 + 5e-10)),
+            (64, TestResiduals.scaled(1 - 2e-9)),
+            (100, TestResiduals.scaled(1 - 2e-9)),
+            # and the construction itself
+            *((d, lambda sol: sol) for d in (0, 1, 7, 64, 4096)),
+        ],
+    )
+    def test_upper_measure_bounds_the_residuals(self, d, change):
+        # Lambda >= max(1, alpha), so no residual past tol min(1, alpha) leaves "upper" holding
+        report = verify_equioscillation(change(build_solution(d)), 1e-9)
+        assert extremal._lebesgue_bound(d + 1) >= max(1.0, report.alpha)
+        assert report.upper / report.alpha - 1.0 == report.measures[0]
+        assert report.measures[0] >= float(np.max(report.residuals)) / min(1.0, report.alpha)
+
     @staticmethod
     def lebesgue_constant(N):
         """max of sum_i |l_i(t)| over t = cos(phi), 32 N phi uniform on [pi/2N, pi], in barycentric form."""
@@ -404,7 +433,7 @@ class TestLowerBound:
         rng = np.random.default_rng(321)
         for d in (1, 2, 3, 5, 8):
             for _ in range(200):
-                assert minimax_lower_bound_check(_random_unit_at_one(rng, d), d).passed
+                assert minimax_lower_bound_check(random_unit_at_one(rng, d), d).passed
 
 
 class TestWeightedMax:

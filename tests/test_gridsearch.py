@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import random_unit_at_one
 from smoothkit import asymptotics, extremal, gridsearch, multiplier
 from smoothkit.chebyshev import ChebSeries
 from smoothkit.gridsearch import fft_length, maximize, polish, refine_grid_max, resolve_ties, sample_count, select_peaks
 from smoothkit.kernels import SymmetricKernel, epanechnikov_kernel, full_weights, optimal_kernel
 from smoothkit.suites import _random_general as random_general
 from smoothkit.suites import _random_symmetric as random_symmetric
-from smoothkit.suites import _random_unit_at_one
 
 # the worst ratio of sampled to true peak on a `sample_count` grid
 BAND = 1.0 - math.pi**2 / 512
@@ -251,7 +251,7 @@ class TestSupplierContract:
         u = random_symmetric(rng, 12)
         seen = _suppliers(monkeypatch, gridsearch, lambda: multiplier.operator_norm_via_polynomial(u))
         seen += _suppliers(
-            monkeypatch, gridsearch, lambda: extremal.minimax_lower_bound_check(_random_unit_at_one(rng, 5), 5)
+            monkeypatch, gridsearch, lambda: extremal.minimax_lower_bound_check(random_unit_at_one(rng, 5), 5)
         )
         assert len(seen) == 2
         for lo, hi, derivs in seen:
